@@ -8,11 +8,12 @@
 // PIR and plaintext top-k paths — the coordinator is allowed to change
 // only the clock. Emits BENCH_coordinator.json.
 //
-// The coordinator runs with a shared executor and unbounded fanout
-// (ShardCoordinatorOptions::fanout_threads = 0): its per-request shard
-// round trips overlap as executor tasks instead of walking the shards
-// sequentially — the overlap that closes the coordinator-vs-in-process
-// gap on machines with real cores.
+// The coordinator runs with a shared executor: it submits every shard's
+// round trip through ForEachShard, and over in-process transports each
+// submit completes inline, so the per-request shard trips overlap as
+// executor tasks instead of walking the shards sequentially — the overlap
+// that closes the coordinator-vs-in-process gap on machines with real
+// cores.
 //
 // Environment variables (all optional):
 //   EMBELLISH_BENCH_TERMS    lexicon size                  (default 2000)
@@ -194,9 +195,8 @@ int main() {
         raw.push_back(transports.back().get());
       }
       // Shared executor: each request's PR/top-k fan-out overlaps its
-      // shard round trips as executor tasks (fanout_threads 0 = all
-      // shards in flight); caches stay off so the answer path is what is
-      // measured.
+      // inline shard round trips as executor tasks; caches stay off so the
+      // answer path is what is measured.
       ThreadPool pool(threads);
       server::ShardCoordinator coordinator(raw, {}, &pool);
       if (!coordinator.Handshake().ok()) {
@@ -220,10 +220,10 @@ int main() {
 
   // --- Transport mode sweep: blocking sockets vs one multiplexed
   // connection per shard, at 8 shards over real loopback TCP. The blocking
-  // mode parks one executor worker per in-flight round trip; the
-  // multiplexed mode submits all eight and awaits — blocking_io_trips must
-  // read 0 there, and the overlap column shows how many round trips were
-  // genuinely in flight at once.
+  // mode runs each round trip inline in its submit, parking one executor
+  // worker per in-flight trip; the multiplexed mode submits all eight and
+  // awaits — blocking_io_trips must read 0 there, and the overlap column
+  // shows how many round trips were genuinely in flight at once.
   const size_t mode_shards = 8;
   std::vector<ModeResult> mode_results;
   {

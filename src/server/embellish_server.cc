@@ -76,6 +76,7 @@ EmbellishServer::EmbellishServer(
       catalog_(catalog != nullptr ? catalog : owned_catalog_.get()),
       bucket_count_(catalog_->Acquire()->buckets().bucket_count()),
       sessions_(options.max_sessions, options.session_idle_frames),
+      inflight_(options.max_inflight),
       cache_(options.cache_capacity, options.cache_max_bytes) {
   // Resolve the initial epoch eagerly so construction surfaces any
   // topology problem immediately (and the first request pays no assembly).
@@ -208,28 +209,6 @@ void EmbellishServer::MergeDelta(const ServerStats& d) {
   t.pir_batch_budget_splits += d.pir_batch_budget_splits;
 }
 
-size_t EmbellishServer::AcquireInflight(size_t want) {
-  if (options_.max_inflight == 0) return want;
-  size_t current = inflight_.load(std::memory_order_relaxed);
-  for (;;) {
-    const size_t room = options_.max_inflight > current
-                            ? options_.max_inflight - current
-                            : 0;
-    const size_t grant = std::min(want, room);
-    if (grant == 0) return 0;
-    if (inflight_.compare_exchange_weak(current, current + grant,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return grant;
-    }
-  }
-}
-
-void EmbellishServer::ReleaseInflight(size_t granted) {
-  if (options_.max_inflight == 0 || granted == 0) return;
-  inflight_.fetch_sub(granted, std::memory_order_acq_rel);
-}
-
 EmbellishServer::RequestOutcome EmbellishServer::BusyOutcome() {
   RequestOutcome outcome = ErrorOutcome(
       0, Status::Busy("server in-flight budget exhausted; request shed"));
@@ -246,11 +225,11 @@ std::vector<uint8_t> EmbellishServer::HandleFrame(
   std::shared_ptr<const EpochEngines> engines = ResolveEngines();
   common::ScopedAnswerPath answer_path;
   RequestOutcome outcome;
-  if (AcquireInflight(1) == 0) {
+  if (inflight_.Acquire(1) == 0) {
     outcome = BusyOutcome();
   } else {
     outcome = ProcessOne(*engines, request);
-    ReleaseInflight(1);
+    inflight_.Release(1);
   }
   MergeDelta(outcome.delta);
   return std::move(outcome.response);
@@ -265,7 +244,7 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
   // Admission is reserved for the whole batch up front: the first `granted`
   // requests are processed, the rest are shed with typed kBusy frames — a
   // deterministic suffix, so the client knows exactly which to resend.
-  const size_t granted = AcquireInflight(requests.size());
+  const size_t granted = inflight_.Acquire(requests.size());
   // Phase 1 (dispatch): decode and answer everything except PIR compute,
   // which parks in the collector. Phase 2 then answers the parked queries
   // in shared sweeps, grouped by (epoch, shard) — the epoch is this batch's
@@ -293,7 +272,7 @@ std::vector<std::vector<uint8_t>> EmbellishServer::HandleBatch(
     handle_range(0, requests.size());
   }
   AnswerDeferredPir(*engines, collector, &responses);
-  ReleaseInflight(granted);
+  inflight_.Release(granted);
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++totals_.batches;
   return responses;
@@ -478,44 +457,19 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
         Status::OutOfRange("shard-qualified bucket out of range"));
   }
 
+  // PIR answers are never cached: every payload carries fresh random
+  // residues, so no two requests share a key and an entry could only ever
+  // be written, never read.
   RequestOutcome outcome;
-  // PIR answers depend only on the payload (the modulus travels inside it),
-  // never on any registered key, so entries are keyed *globally* — session
-  // and registration-epoch components pinned to zero — and one session's
-  // answer serves every session that replays the same payload. Because the
-  // response frame header embeds the requester's session id, the cache
-  // stores the response payload and the frame is rebuilt per request:
-  // bit-identical bytes for the same session, correctly addressed for every
-  // other. Per-shard answers still occupy distinct entries because the
-  // payload embeds the shard-qualified bucket field, and the database epoch
-  // in the key keeps answers from crossing a delta/reshard cutover (a PIR
-  // answer is a function of the epoch's exact shard layout). (PR entries,
-  // by contrast, stay keyed by session *and* registration epoch — their
-  // ciphertexts are bound to the session's key.)
-  std::string key;
-  if (cache_.enabled()) {
-    key = ResponseCache::MakeKey(static_cast<uint8_t>(frame.kind),
-                                 /*session_id=*/0, /*epoch=*/0,
-                                 engines.epoch->epoch(), frame.payload);
-    std::vector<uint8_t> cached_payload;
-    if (cache_.Get(key, &cached_payload)) {
-      outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
-                                     cached_payload);
-      outcome.delta.pir_queries = 1;
-      return outcome;
-    }
-  }
-
-  // Batched dispatch: park the decoded, cache-missed query; the batch's
-  // phase 2 answers every parked query of this shard in one shared sweep
-  // and fills the response slot (and the cache entry) then. The collector
+  // Batched dispatch: park the decoded query; the batch's phase 2 answers
+  // every parked query of this shard in one shared sweep and fills the
+  // response slot then. The collector
   // mutex guards only this queue admission — no answer compute happens
   // under any server-level lock any more.
   if (collector != nullptr) {
     std::lock_guard<std::mutex> lock(collector->mu);
     collector->pending.push_back(PendingPir{slot, frame.session_id, shard,
-                                            bucket, std::move(*payload),
-                                            std::move(key)});
+                                            bucket, std::move(*payload)});
     outcome.deferred = true;
     return outcome;
   }
@@ -534,7 +488,6 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
       EncodePirResponse(*response, value_size);
   outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
                                  response_payload);
-  if (cache_.enabled()) cache_.Put(key, std::move(response_payload));
   outcome.delta.pir_queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;
@@ -561,19 +514,15 @@ void EmbellishServer::AnswerDeferredPir(
     groups.emplace_back(shard, std::move(indices));
   }
 
-  // Finish one deferred query: rebuild its per-session response frame from
-  // the gamma vector, fill the global cache, and account the downlink the
-  // dispatch pass could not see.
+  // Finish one deferred query: build its per-session response frame from
+  // the gamma vector and account the downlink the dispatch pass could not
+  // see.
   auto finalize = [&](PendingPir& p, const crypto::PirResponse& response,
                       ServerStats* delta) {
     const size_t value_size = (p.payload.query.n.BitLength() + 7) / 8;
-    std::vector<uint8_t> response_payload =
-        EncodePirResponse(response, value_size);
-    (*responses)[p.slot] = EncodeFrame(FrameKind::kPirResult, p.session_id,
-                                       response_payload);
-    if (cache_.enabled() && !p.cache_key.empty()) {
-      cache_.Put(p.cache_key, std::move(response_payload));
-    }
+    (*responses)[p.slot] =
+        EncodeFrame(FrameKind::kPirResult, p.session_id,
+                    EncodePirResponse(response, value_size));
     delta->pir_queries += 1;
     delta->downlink_bytes += (*responses)[p.slot].size();
   };

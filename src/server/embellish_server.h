@@ -30,11 +30,12 @@
 // monolithic server's. PIR requests address one (shard, bucket) pair: the
 // frame's bucket field carries shard * bucket_count + bucket, shards answer
 // independently (and concurrently — the engines' lazy matrix caches are
-// internally synchronized), and cache entries are keyed per shard.
+// internally synchronized). PIR answers bypass the response cache: every
+// payload carries fresh random residues, so none would ever be replayed.
 //
 // Batched PIR (PR 9): HandleBatch answers the PIR frames of one dispatched
-// batch in shared sweeps. The dispatch pass defers every decoded,
-// cache-missed kPirQuery into a per-batch collector instead of computing it
+// batch in shared sweeps. The dispatch pass defers every decoded
+// kPirQuery into a per-batch collector instead of computing it
 // inline; the batch then groups the deferred queries by (database epoch,
 // shard) — the epoch is the batch's single pinned snapshot, so within a
 // batch the grouping key is the shard, and frames that arrive around a
@@ -89,6 +90,7 @@
 #include "index/epoch.h"
 #include "index/sharding.h"
 #include "server/framing.h"
+#include "server/inflight_budget.h"
 #include "server/response_cache.h"
 #include "server/session_table.h"
 
@@ -351,7 +353,7 @@ class EmbellishServer {
   };
 
   // One dispatched batch's deferred PIR work: the dispatch pass parks every
-  // decoded, cache-missed kPirQuery here, and the batch answers them in
+  // decoded kPirQuery here, and the batch answers them in
   // shared per-(epoch, shard) sweeps afterwards. The mutex guards queue
   // admission only — the one residue of the per-shard serialization that
   // used to span whole answer computations.
@@ -361,7 +363,6 @@ class EmbellishServer {
     size_t shard = 0;
     size_t bucket = 0;        // shard-local
     PirQueryPayload payload;  // owns the decoded query
-    std::string cache_key;    // empty when the cache is off
   };
   struct PirBatchCollector {
     std::mutex mu;
@@ -389,11 +390,7 @@ class EmbellishServer {
                          PirBatchCollector& collector,
                          std::vector<std::vector<uint8_t>>* responses);
 
-  // Admission control: grants up to `want` in-flight slots (all of them
-  // when max_inflight is 0); ReleaseInflight returns what was granted.
-  // BusyOutcome is the typed kBusy response for a shed request.
-  size_t AcquireInflight(size_t want);
-  void ReleaseInflight(size_t granted);
+  // The typed kBusy response for a request shed by admission control.
   static RequestOutcome BusyOutcome();
 
   // Folds one request's counters into totals_ under stats_mu_.
@@ -444,8 +441,8 @@ class EmbellishServer {
   // Logical clock for session idle tracking: handled frames.
   std::atomic<uint64_t> frame_clock_{0};
 
-  // In-flight request count against options_.max_inflight.
-  std::atomic<size_t> inflight_{0};
+  // Admission control against options_.max_inflight.
+  InflightBudget inflight_;
 
   // Current epoch's engine bundle; replaced (never mutated) when a batch
   // observes a newer epoch. Readers hold their own shared_ptr for the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
+#include <numeric>
 #include <utility>
 
 #include "common/strings.h"
@@ -28,6 +29,20 @@ std::vector<std::vector<ShardTransport*>> SingleReplicaGroups(
   return groups;
 }
 
+// The pool overlaps only trips that complete inline, inside their submit.
+// An async submit returns at once, so spreading those over workers buys
+// nothing but region wake-ups; an all-async deployment submits in a loop.
+ThreadPool* SubmitPool(
+    const std::vector<std::vector<ShardTransport*>>& replica_groups,
+    ThreadPool* pool) {
+  for (const auto& group : replica_groups) {
+    for (const ShardTransport* t : group) {
+      if (!t->SupportsAsyncSubmit()) return pool;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 ShardCoordinator::ShardCoordinator(std::vector<ShardTransport*> transports,
@@ -41,24 +56,17 @@ ShardCoordinator::ShardCoordinator(
     const ShardCoordinatorOptions& options, ThreadPool* pool)
     : replicas_(std::move(replica_groups)),
       options_(options),
-      // No caller pool, but overlapped fan-out requested: spawn an owned
-      // executor of the requested width (see fanout_threads).
-      owned_pool_(pool == nullptr && options.fanout_threads > 1 &&
-                          replicas_.size() > 1
-                      ? std::make_unique<ThreadPool>(options.fanout_threads)
-                      : nullptr),
-      pool_(pool != nullptr ? pool : owned_pool_.get()),
+      pool_(pool),
+      submit_pool_(SubmitPool(replicas_, pool)),
       probe_rng_(options.probe_seed),
+      inflight_(options.max_inflight),
       epoch_(options.epoch),
       sessions_(options.max_sessions, options.session_idle_frames),
       cache_(options.cache_capacity, options.cache_max_bytes) {
-  transport_mu_.reserve(replicas_.size());
   replica_failures_.reserve(replicas_.size());
   for (const auto& group : replicas_) {
-    transport_mu_.emplace_back();
     replica_failures_.emplace_back();
     for (size_t r = 0; r < group.size(); ++r) {
-      transport_mu_.back().push_back(std::make_unique<std::mutex>());
       replica_failures_.back().push_back(
           std::make_unique<std::atomic<uint32_t>>(0));
     }
@@ -128,37 +136,6 @@ std::vector<uint8_t> ShardCoordinator::BuildShardRequest(
       FrameKind::kShardRequest, 0,
       EncodeShardEnvelope(shard, epoch_.load(std::memory_order_acquire), seq,
                           inner));
-}
-
-Result<Frame> ShardCoordinator::ReplicaTrip(
-    size_t shard, size_t replica, const std::vector<uint8_t>& inner) {
-  const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<uint8_t> request = BuildShardRequest(shard, seq, inner);
-  Count(&AtomicStats::shard_trips);
-  ShardTransport* transport = replicas_[shard][replica];
-  // A multiplexed transport does its socket I/O on the loop thread even for
-  // this blocking-convenience call (the caller merely awaits a latch), so
-  // only a genuinely blocking channel counts a worker parked on I/O.
-  Count(transport->SupportsAsyncSubmit() ? &AtomicStats::async_io_trips
-                                         : &AtomicStats::blocking_io_trips);
-
-  const auto start = std::chrono::steady_clock::now();
-  Result<std::vector<uint8_t>> response = [&] {
-    if (transport->SupportsAsyncSubmit()) {
-      // A multiplexed transport is thread-safe and interleaves in-flight
-      // round trips itself; serializing it here would flatten them.
-      return transport->RoundTrip(request);
-    }
-    // Plain blocking channels: one round trip at a time.
-    std::lock_guard<std::mutex> lock(*transport_mu_[shard][replica]);
-    return transport->RoundTrip(request);
-  }();
-  counters_.trip_micros.fetch_add(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count(),
-      std::memory_order_relaxed);
-  return SettleReplicaTrip(shard, replica, seq, std::move(response));
 }
 
 Result<Frame> ShardCoordinator::SettleReplicaTrip(
@@ -267,14 +244,19 @@ void ShardCoordinator::AsyncReplicaTrip(
     std::function<void(Result<Frame>)> done) {
   const uint64_t seq = seq_.fetch_add(1, std::memory_order_relaxed);
   std::vector<uint8_t> request = BuildShardRequest(shard, seq, inner);
+  ShardTransport* transport = replicas_[shard][replica];
   Count(&AtomicStats::shard_trips);
-  Count(&AtomicStats::async_io_trips);
+  // A transport without async submit completes inside SubmitRoundTrip, so
+  // the submitting thread did the I/O; an async submit hands it to the
+  // transport's own loop thread.
+  Count(transport->SupportsAsyncSubmit() ? &AtomicStats::async_io_trips
+                                         : &AtomicStats::blocking_io_trips);
   {
     std::lock_guard<std::mutex> lock(async_drain_mu_);
     ++async_outstanding_;
   }
   const auto start = std::chrono::steady_clock::now();
-  replicas_[shard][replica]->SubmitRoundTrip(
+  transport->SubmitRoundTrip(
       request, [this, shard, replica, seq, start, done = std::move(done)](
                    Result<std::vector<uint8_t>> response) {
         counters_.trip_micros.fetch_add(
@@ -288,24 +270,8 @@ void ShardCoordinator::AsyncReplicaTrip(
       });
 }
 
-bool ShardCoordinator::AsyncCapable(size_t shard) const {
-  if (replicas_[shard].empty()) return false;
-  for (ShardTransport* t : replicas_[shard]) {
-    if (!t->SupportsAsyncSubmit()) return false;
-  }
-  return true;
-}
-
-bool ShardCoordinator::AllAsyncCapable() const {
-  if (replicas_.empty()) return false;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    if (!AsyncCapable(s)) return false;
-  }
-  return true;
-}
-
 namespace {
-// Attempt provenance for the async fan-out's stats accounting.
+// Attempt provenance for the fan-out's stats accounting.
 enum AttemptKind : int {
   kPrimaryAttempt = 0,
   kHedgeAttempt = 1,
@@ -313,15 +279,16 @@ enum AttemptKind : int {
 };
 }  // namespace
 
-std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
+std::vector<Result<Frame>> ShardCoordinator::FanOutShards(
     const std::vector<size_t>& shards, const std::vector<uint8_t>& inner) {
   // One logical trip per slice, all primaries submitted before anything is
-  // awaited: N round trips in flight, zero threads parked on sockets. The
-  // per-trip failover walk and the hedged duplicate reproduce the blocking
-  // path's semantics — same ReplicaOrder, same attempt budget, same "every
-  // attempt has its own seq" isolation — but failovers resubmit from the
-  // completion callback and hedges fire from this awaiting thread at their
-  // monotonic deadlines (async hedging needs no executor to race on).
+  // awaited. Each trip walks ReplicaOrder within its attempt budget, and
+  // every attempt carries its own seq. Failovers resubmit from the
+  // completion callback; hedges fire from this awaiting thread at their
+  // monotonic deadlines, so they only ever race a primary whose submit
+  // returned before it completed (an async transport). Over an inline
+  // transport the primary has already landed by then: a failed one has
+  // failed over on the spot, which yields the same bytes.
   struct Trip {
     size_t shard = 0;
     std::vector<size_t> order;
@@ -360,6 +327,7 @@ std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
                       ? trip.order.size()
                       : std::min(options_.max_attempts, trip.order.size());
     trip.next_idx = 1;
+    trip.outstanding = 1;  // the primary, submitted below
     trip.hedge_armed = hedging && trip.budget >= 2;
     trip.hedge_deadline_ms = hedge_deadline;
     ++fan->open;
@@ -434,18 +402,18 @@ std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
     }
   };
 
-  for (size_t i = 0; i < fan->trips.size(); ++i) {
-    Trip& trip = fan->trips[i];
-    if (trip.done) continue;
-    {
-      std::lock_guard<std::mutex> lock(fan->mu);
-      ++trip.outstanding;
+  // A transport that completes inline runs its whole trip, failovers
+  // included, inside its submit, so inline slices overlap as pool tasks; an
+  // async submit returns at once. With a null or 1-wide pool, or over
+  // async transports only, this is a plain loop. Trip i's setup fields are read here before its submit, the
+  // only thing that can start mutating them.
+  index::ForEachShard(submit_pool_, fan->trips.size(), [&](size_t i) {
+    if (!fan->trips[i].done) {
+      (*submit)(i, kPrimaryAttempt, fan->trips[i].order[0]);
     }
-    (*submit)(i, kPrimaryAttempt, trip.order[0]);
-  }
+  });
 
-  // Await all trips, firing due hedges: this is the ONLY blocked thread of
-  // the whole fan-out.
+  // Await all trips, firing due hedges.
   std::unique_lock<std::mutex> lock(fan->mu);
   while (fan->open > 0) {
     int64_t next_deadline = INT64_MAX;
@@ -490,11 +458,18 @@ std::vector<Result<Frame>> ShardCoordinator::AsyncFanOutShards(
   return out;
 }
 
-std::vector<std::vector<Result<Frame>>>
-ShardCoordinator::AsyncFanOutAllReplicas(const std::vector<uint8_t>& inner) {
-  // Registration traffic wants an answer from EVERY replica, so there is no
-  // failover or hedging — just every (slice, replica) attempt in flight at
-  // once and one awaiting thread.
+std::vector<Result<Frame>> ShardCoordinator::FanOut(
+    const std::vector<uint8_t>& inner) {
+  std::vector<size_t> all(replicas_.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  return FanOutShards(all, inner);
+}
+
+std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
+    const std::vector<uint8_t>& inner) {
+  // Pings and registration traffic want an answer from EVERY replica, so
+  // there is no failover or hedging — one attempt per (slice, replica),
+  // submitted like FanOutShards' primaries, and one awaiting thread.
   struct Fan {
     std::mutex mu;
     std::condition_variable cv;
@@ -503,193 +478,25 @@ ShardCoordinator::AsyncFanOutAllReplicas(const std::vector<uint8_t>& inner) {
   };
   auto fan = std::make_shared<Fan>();
   fan->out.resize(replicas_.size());
-  size_t total = 0;
+  std::vector<std::pair<size_t, size_t>> attempts;  // (slice, replica)
   for (size_t s = 0; s < replicas_.size(); ++s) {
     fan->out[s].assign(replicas_[s].size(),
                        Result<Frame>(Status::Internal("replica not contacted")));
-    total += replicas_[s].size();
+    for (size_t r = 0; r < replicas_[s].size(); ++r) attempts.emplace_back(s, r);
   }
-  fan->open = total;
-  for (size_t s = 0; s < replicas_.size(); ++s) {
-    for (size_t r = 0; r < replicas_[s].size(); ++r) {
-      AsyncReplicaTrip(s, r, inner, [fan, s, r](Result<Frame> result) {
-        std::lock_guard<std::mutex> lock(fan->mu);
-        fan->out[s][r] = std::move(result);
-        if (--fan->open == 0) fan->cv.notify_all();
-      });
-    }
-  }
+  fan->open = attempts.size();
+  index::ForEachShard(submit_pool_, attempts.size(), [&](size_t i) {
+    const size_t s = attempts[i].first;
+    const size_t r = attempts[i].second;
+    AsyncReplicaTrip(s, r, inner, [fan, s, r](Result<Frame> result) {
+      std::lock_guard<std::mutex> lock(fan->mu);
+      fan->out[s][r] = std::move(result);
+      if (--fan->open == 0) fan->cv.notify_all();
+    });
+  });
   std::unique_lock<std::mutex> lock(fan->mu);
   fan->cv.wait(lock, [&fan] { return fan->open == 0; });
   return std::move(fan->out);
-}
-
-ShardCoordinator::HedgeOutcome ShardCoordinator::HedgedTrip(
-    size_t shard, size_t primary, size_t hedge,
-    const std::vector<uint8_t>& inner) {
-  struct Race {
-    std::mutex m;
-    std::condition_variable cv;
-    bool primary_done = false;
-    bool hedge_fired = false;
-    bool hedge_done = false;
-    int finishes = 0;
-    int primary_rank = 0;
-    int hedge_rank = 0;
-    Result<Frame> primary_result{Status::Internal("primary not run")};
-    Result<Frame> hedge_result{Status::Internal("hedge not run")};
-  } race;
-
-  // Two 1-wide chunks: the primary trip and the hedge watcher. On a pool
-  // with free workers they run concurrently; with none, the caller runs
-  // them back to back and the watcher degrades into an immediate
-  // retry-on-failure (the primary is already done when it checks). Each
-  // trip draws its own envelope seq, so the loser's response cannot be
-  // mistaken for the winner's. Caveat: ParallelFor joins both chunks, so a
-  // hedge that is still in flight when the primary lands extends the trip
-  // by its transport timeout at worst — the price of hedging over blocking
-  // transports (the async submit path doesn't pay it: both trips ride the
-  // event loop and the loser is abandoned to the orphan counter).
-  pool_->ParallelFor(0, 2, /*min_grain=*/1, [&](size_t begin, size_t end) {
-    for (size_t task = begin; task < end; ++task) {
-      if (task == 0) {
-        Result<Frame> r = ReplicaTrip(shard, primary, inner);
-        std::lock_guard<std::mutex> lock(race.m);
-        race.primary_result = std::move(r);
-        race.primary_done = true;
-        race.primary_rank = ++race.finishes;
-        race.cv.notify_all();
-      } else {
-        bool fire;
-        {
-          std::unique_lock<std::mutex> lock(race.m);
-          race.cv.wait_for(lock,
-                           std::chrono::milliseconds(options_.hedge_delay_ms),
-                           [&] { return race.primary_done; });
-          // Fire on a slow primary (still out past the delay) or a failed
-          // one (immediate failover); stand down on a landed success.
-          fire = !(race.primary_done && race.primary_result.ok());
-          race.hedge_fired = fire;
-        }
-        if (!fire) continue;
-        Result<Frame> r = ReplicaTrip(shard, hedge, inner);
-        std::lock_guard<std::mutex> lock(race.m);
-        race.hedge_result = std::move(r);
-        race.hedge_done = true;
-        race.hedge_rank = ++race.finishes;
-      }
-    }
-  });
-
-  HedgeOutcome out;
-  out.hedge_fired = race.hedge_fired;
-  const bool primary_ok = race.primary_result.ok();
-  const bool hedge_ok = race.hedge_done && race.hedge_result.ok();
-  if (primary_ok && (!hedge_ok || race.primary_rank < race.hedge_rank)) {
-    out.result = std::move(race.primary_result);
-  } else if (hedge_ok) {
-    out.result = std::move(race.hedge_result);
-    out.hedge_won = true;
-    out.primary_failed = !primary_ok;
-  } else {
-    // Both attempts failed; surface the primary's status deterministically.
-    out.result = std::move(race.primary_result);
-    out.primary_failed = true;
-  }
-  return out;
-}
-
-Result<Frame> ShardCoordinator::ShardRoundTrip(
-    size_t shard, const std::vector<uint8_t>& inner) {
-  if (AsyncCapable(shard)) {
-    // Submit-and-await even for a single slice: the PIR path then pins no
-    // worker on the socket either, and failover/hedging run identically.
-    std::vector<Result<Frame>> out =
-        AsyncFanOutShards(std::vector<size_t>{shard}, inner);
-    return std::move(out[0]);
-  }
-  const std::vector<size_t> order = ReplicaOrder(shard);
-  if (order.empty()) {
-    Count(&AtomicStats::shard_failures);
-    return Status::Unavailable(
-        StringPrintf("slice %zu has no replica transports", shard));
-  }
-  const size_t budget = options_.max_attempts == 0
-                            ? order.size()
-                            : std::min(options_.max_attempts, order.size());
-
-  size_t idx = 0;  // next candidate in `order`
-  Result<Frame> last(Status::Internal("no replica attempted"));
-
-  // First attempt — hedged when enabled and a second candidate and the
-  // budget allow it (hedging needs a pool to race on).
-  if (options_.hedge_delay_ms >= 0 && pool_ != nullptr && budget >= 2) {
-    HedgeOutcome h = HedgedTrip(shard, order[0], order[1], inner);
-    idx = h.hedge_fired ? 2 : 1;
-    if (h.hedge_fired) Count(&AtomicStats::hedges_fired);
-    if (h.result.ok()) {
-      if (h.hedge_won) {
-        Count(&AtomicStats::hedge_wins);
-        if (h.primary_failed) Count(&AtomicStats::failovers);
-      }
-      return h.result;
-    }
-    last = std::move(h.result);
-  } else {
-    last = ReplicaTrip(shard, order[0], inner);
-    idx = 1;
-    if (last.ok()) return last;
-  }
-
-  // Sequential failover over the remaining candidates.
-  while (idx < budget) {
-    Count(&AtomicStats::retries);
-    last = ReplicaTrip(shard, order[idx], inner);
-    ++idx;
-    if (last.ok()) {
-      Count(&AtomicStats::failovers);
-      return last;
-    }
-  }
-  return last;
-}
-
-std::vector<Result<Frame>> ShardCoordinator::FanOut(
-    const std::vector<uint8_t>& inner) {
-  const size_t shards = replicas_.size();
-  if (AllAsyncCapable()) {
-    std::vector<size_t> all(shards);
-    for (size_t s = 0; s < shards; ++s) all[s] = s;
-    return AsyncFanOutShards(all, inner);
-  }
-  std::vector<Result<Frame>> out(
-      shards, Result<Frame>(Status::Internal("shard not contacted")));
-  // The round trips overlap as executor tasks (each one blocks on its
-  // transport, so the fanout_threads cap is what bounds how many workers
-  // one request can pin on I/O waits). The caller participates too, so a
-  // fully-busy pool degrades to the sequential loop, never a stall.
-  index::ForEachShard(pool_, shards, [&](size_t s) {
-    out[s] = ShardRoundTrip(s, inner);
-  }, options_.fanout_threads);
-  return out;
-}
-
-std::vector<std::vector<Result<Frame>>> ShardCoordinator::FanOutAllReplicas(
-    const std::vector<uint8_t>& inner) {
-  if (AllAsyncCapable()) return AsyncFanOutAllReplicas(inner);
-  const size_t shards = replicas_.size();
-  std::vector<std::vector<Result<Frame>>> out(shards);
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (size_t s = 0; s < shards; ++s) {
-    out[s].assign(replicas_[s].size(),
-                  Result<Frame>(Status::Internal("replica not contacted")));
-    for (size_t r = 0; r < replicas_[s].size(); ++r) pairs.emplace_back(s, r);
-  }
-  index::ForEachShard(pool_, pairs.size(), [&](size_t i) {
-    out[pairs[i].first][pairs[i].second] =
-        ReplicaTrip(pairs[i].first, pairs[i].second, inner);
-  }, options_.fanout_threads);
-  return out;
 }
 
 Status ShardCoordinator::Handshake() {
@@ -701,6 +508,13 @@ Status ShardCoordinator::Handshake() {
   if (replicas_.empty()) {
     return Status::InvalidArgument("coordinator has no shard transports");
   }
+  // Ping every replica at once: a slice is usable if at least one answers,
+  // and every replica that does answer must advertise the same topology. A
+  // misconfigured replica (wrong shard count, divergent buckets) is a
+  // deployment error worth failing loudly on, not failing over past. The
+  // answers are checked in (slice, replica) order, so the first failure
+  // reported is the same one a replica-by-replica walk would stop at.
+  std::vector<std::vector<Result<Frame>>> pings = FanOutAllReplicas({});
   size_t bucket_count = 0;
   bool bucket_known = false;
   for (size_t s = 0; s < replicas_.size(); ++s) {
@@ -708,14 +522,9 @@ Status ShardCoordinator::Handshake() {
       return Status::InvalidArgument(
           StringPrintf("slice %zu has no replica transports", s));
     }
-    // Ping every replica: a slice is usable if at least one answers, and
-    // every replica that does answer must advertise the same topology. A
-    // misconfigured replica (wrong shard count, divergent buckets) is a
-    // deployment error worth failing loudly on, not failing over past.
     bool slice_ok = false;
     Status first_failure;
-    for (size_t r = 0; r < replicas_[s].size(); ++r) {
-      auto inner = ReplicaTrip(s, r, {});
+    for (const Result<Frame>& inner : pings[s]) {
       if (!inner.ok()) {
         if (first_failure.ok()) first_failure = inner.status();
         continue;
@@ -788,28 +597,6 @@ Status ShardCoordinator::AdvanceEpoch() {
   return Status::OK();
 }
 
-size_t ShardCoordinator::AcquireInflight(size_t want) {
-  if (options_.max_inflight == 0) return want;
-  size_t current = inflight_.load(std::memory_order_relaxed);
-  for (;;) {
-    const size_t room = options_.max_inflight > current
-                            ? options_.max_inflight - current
-                            : 0;
-    const size_t grant = std::min(want, room);
-    if (grant == 0) return 0;
-    if (inflight_.compare_exchange_weak(current, current + grant,
-                                        std::memory_order_acq_rel,
-                                        std::memory_order_relaxed)) {
-      return grant;
-    }
-  }
-}
-
-void ShardCoordinator::ReleaseInflight(size_t granted) {
-  if (options_.max_inflight == 0 || granted == 0) return;
-  inflight_.fetch_sub(granted, std::memory_order_acq_rel);
-}
-
 std::vector<uint8_t> ShardCoordinator::BusyFrame() {
   Count(&AtomicStats::shed);
   Count(&AtomicStats::frames);
@@ -834,9 +621,9 @@ Result<std::unique_ptr<AsyncFrontEnd>> ShardCoordinator::ServeAsync(
 
 std::vector<uint8_t> ShardCoordinator::HandleFrame(
     const std::vector<uint8_t>& request) {
-  if (AcquireInflight(1) == 0) return BusyFrame();
+  if (inflight_.Acquire(1) == 0) return BusyFrame();
   std::vector<uint8_t> response = ProcessOne(request);
-  ReleaseInflight(1);
+  inflight_.Release(1);
   Count(&AtomicStats::frames);
   return response;
 }
@@ -847,7 +634,7 @@ std::vector<std::vector<uint8_t>> ShardCoordinator::HandleBatch(
   // Admission is reserved for the whole batch up front: the first `granted`
   // requests are processed, the rest are shed with typed kBusy frames — a
   // deterministic suffix, so the client knows exactly which to resend.
-  const size_t granted = AcquireInflight(requests.size());
+  const size_t granted = inflight_.Acquire(requests.size());
   auto handle_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       if (i < granted) {
@@ -863,7 +650,7 @@ std::vector<std::vector<uint8_t>> ShardCoordinator::HandleBatch(
   } else {
     handle_range(0, requests.size());
   }
-  ReleaseInflight(granted);
+  inflight_.Release(granted);
   return responses;
 }
 
@@ -1168,7 +955,7 @@ std::vector<uint8_t> ShardCoordinator::HandlePirQuery(const Frame& frame) {
   std::vector<uint8_t> inner = EncodeFrame(
       FrameKind::kPirQuery, frame.session_id,
       EncodePirQuery(bucket, payload->query));
-  auto response = ShardRoundTrip(shard, inner);
+  Result<Frame> response = std::move(FanOutShards({shard}, inner)[0]);
   if (!response.ok()) {
     return ErrorFrame(frame.session_id, response.status());
   }

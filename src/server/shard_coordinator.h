@@ -24,19 +24,27 @@
 //               addresses (shard * bucket_count + bucket), rewriting the
 //               field to the shard-local bucket.
 //
-// Fan-outs overlap: the per-shard round trips of one request run as tasks
-// on the shared executor (bounded by options.fanout_threads), nested
-// inside the batch region when the request arrived through HandleBatch —
-// the coordinator no longer walks shards sequentially per request. An
-// optional upstream response cache (options.cache_capacity) answers a
+// One fan-out path: every shard attempt is submitted through
+// ShardTransport::SubmitRoundTrip and the requesting thread awaits the
+// completions. Primaries are submitted through index::ForEachShard on the
+// constructor's executor, nested inside the batch region when the request
+// arrived through HandleBatch. A transport that completes inline
+// (InProcessTransport, TcpTransport) runs its round trip inside that
+// submit, so inline slices overlap as pool tasks; a MultiplexedTransport
+// submit returns at once and its event loop completes the trip. With a
+// null or 1-wide pool, or when every transport submits asynchronously,
+// the submits are a plain loop. The coordinator takes
+// no lock around any transport: each transport is thread-safe by itself.
+// An optional upstream response cache (options.cache_capacity) answers a
 // session's recurring PR decoy sets before any shard round trip.
 //
 // Replication (construct with replica groups): each slice may be served by
 // R transports, every one answering with bytes identical to the monolithic
 // server's slice response. A logical shard round trip walks the group's
 // replicas — healthy (circuit closed) replicas first — failing over on any
-// transport-level fault, and may race a hedged duplicate against a slow
-// primary on a second replica (options.hedge_delay_ms). Per-replica health
+// transport-level fault, and, over async-submit transports, may race a
+// hedged duplicate against a slow primary on a second replica
+// (options.hedge_delay_ms). Per-replica health
 // is a consecutive-failure circuit breaker with probabilistic probe
 // re-admission, so a dead replica costs capacity, not availability, and a
 // healed one is re-discovered without operator action. Every attempt
@@ -73,6 +81,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "server/framing.h"
+#include "server/inflight_budget.h"
 #include "server/response_cache.h"
 #include "server/session_table.h"
 #include "server/shard_transport.h"
@@ -102,25 +111,6 @@ struct ShardCoordinatorOptions {
   /// forever at the coordinator either. 0 disables expiry.
   uint64_t session_idle_frames = 1u << 20;
 
-  /// Per-request cap on how many of a fan-out's shard round trips are in
-  /// flight concurrently. Round trips run as tasks on the constructor's
-  /// executor (there is no dedicated fan-out pool any more: fan-out
-  /// regions nest inside batch regions on the one shared pool), so a
-  /// coordinator overlaps its transport sends instead of walking shards
-  /// sequentially. 0 — the default — overlaps all shards; 1 restores the
-  /// sequential per-shard loop; N bounds one request's draw on the pool
-  /// (fan-out tasks BLOCK on transport I/O, so the cap is what keeps a
-  /// wide fan-out from pinning every worker). A coordinator constructed
-  /// WITHOUT a pool but with fanout_threads > 1 spawns an owned executor
-  /// of that width (the pre-executor dedicated fan-out pool, minus the
-  /// old region collision); with a null pool and fanout_threads <= 1 the
-  /// fan-out is sequential. All of the above applies to BLOCKING
-  /// transports only: when every replica of a shard supports async
-  /// submit (MultiplexedTransport), the fan-out submits all shards to
-  /// the event loop and waits on completions — no pool tasks, no workers
-  /// parked on sockets, and this cap is irrelevant.
-  size_t fanout_threads = 0;
-
   /// Upstream response-cache capacity in entries; 0 (default) disables it.
   /// The cache reuses the server's bucket-set keying (kind, session,
   /// registration epoch, payload bytes) for PR query frames, so a
@@ -144,16 +134,17 @@ struct ShardCoordinatorOptions {
   /// behavior); N caps the walk at N replicas.
   size_t max_attempts = 0;
 
-  /// Hedged sends: when >= 0 and the coordinator has a pool and the slice
-  /// has a second usable replica, a logical round trip arms a duplicate of
-  /// the request for a *different* replica and fires it if the primary has
-  /// not answered within this many milliseconds; first valid response wins.
-  /// The hedge watcher runs as an executor task and is woken the moment the
-  /// primary lands (it never sleeps past the primary), and every attempt
-  /// has its own envelope seq, so the losing duplicate's response can never
-  /// be merged — it fails its trip's seq echo by construction. 0 hedges
-  /// immediately (a two-replica race). Negative — the default — disables
-  /// hedging.
+  /// Hedged sends: when >= 0 and the slice has a second usable replica, a
+  /// logical round trip arms a duplicate of the request for a *different*
+  /// replica and fires it if the primary has not answered within this many
+  /// milliseconds; first valid response wins. Hedges fire from the thread
+  /// awaiting the fan-out, so they need async submit: over a transport
+  /// that completes inline the primary has landed before any hedge could
+  /// fire, and a failed primary fails over at once instead (same bytes).
+  /// Every attempt has its own envelope seq, so the losing duplicate's
+  /// response can never be merged — it fails its trip's seq echo by
+  /// construction. 0 hedges immediately (a two-replica race). Negative —
+  /// the default — disables hedging.
   int hedge_delay_ms = -1;
 
   /// Consecutive transport-level failures on one replica that open its
@@ -204,13 +195,13 @@ struct CoordinatorStats {
   uint64_t shed = 0;          ///< requests refused with kBusy (admission)
   uint64_t degraded_answers = 0;  ///< partial-merge responses produced
   uint64_t epoch_swaps = 0;   ///< AdvanceEpoch cutovers driven
-  /// Physical replica attempts that parked the calling worker on blocking
-  /// transport I/O. Zero in a fully multiplexed deployment — the acceptance
-  /// invariant for the async fan-out: N overlapped round trips pin zero
-  /// executor workers.
+  /// Physical replica attempts on transports without async submit: the
+  /// round trip completed inside SubmitRoundTrip, on the submitting
+  /// thread. Zero in a fully multiplexed deployment — N overlapped round
+  /// trips then pin zero executor workers.
   uint64_t blocking_io_trips = 0;
-  /// Physical replica attempts submitted through SubmitRoundTrip (the
-  /// submitter returned immediately; the event loop completed the trip).
+  /// Physical replica attempts on async-submit transports (the submitter
+  /// returned immediately; the event loop completed the trip).
   uint64_t async_io_trips = 0;
   /// Summed wall-clock microseconds spent inside physical replica attempts
   /// (submit to completion). trip_micros / wall-clock elapsed is the
@@ -237,7 +228,7 @@ class ShardCoordinator {
                    const ShardCoordinatorOptions& options = {},
                    ThreadPool* pool = nullptr);
 
-  /// \brief Blocks until every in-flight async replica attempt has
+  /// \brief Blocks until every in-flight replica attempt has
   ///        completed (late hedge losers and orphaned failover attempts
   ///        reference coordinator state from their completions).
   ~ShardCoordinator();
@@ -301,97 +292,50 @@ class ShardCoordinator {
   CoordinatorStats stats() const;
 
  private:
-  // One physical round trip to one replica: wrap `inner` for `shard`, send
-  // on replica `replica`'s transport, validate the response envelope
-  // (shard id / epoch / seq echo), and return the decoded inner frame.
-  // Inner kError frames are returned as frames — the caller decides
-  // whether to pass them through. Every other failure is a typed non-OK
-  // status (Unavailable for transport/corruption faults). Updates the
-  // replica's circuit breaker: success closes it, failure counts toward
-  // breaker_threshold.
-  Result<Frame> ReplicaTrip(size_t shard, size_t replica,
-                            const std::vector<uint8_t>& inner);
-
   // The envelope for one physical attempt: seq is the per-attempt fencing
   // token SettleReplicaTrip validates against the response echo.
   std::vector<uint8_t> BuildShardRequest(size_t shard, uint64_t seq,
                                          const std::vector<uint8_t>& inner);
 
-  // The response half of ReplicaTrip, shared verbatim by the blocking and
-  // submit-and-await paths: decode, validate the (shard, epoch, seq) echo,
-  // decode the inner frame, settle the replica's circuit breaker.
+  // The response half of a physical attempt: decode, validate the (shard,
+  // epoch, seq) echo, decode the inner frame, settle the replica's circuit
+  // breaker (success closes it, failure counts toward breaker_threshold).
+  // Inner kError frames are returned as frames — the caller decides whether
+  // to pass them through. Every other failure is a typed non-OK status
+  // (Unavailable for transport/corruption faults).
   Result<Frame> SettleReplicaTrip(size_t shard, size_t replica, uint64_t seq,
                                   Result<std::vector<uint8_t>> response);
 
-  // One physical attempt through SubmitRoundTrip: the caller's thread
-  // returns immediately; `done` runs with the settled outcome on whatever
-  // thread completes the trip (the multiplexer's loop thread) and must not
-  // block. Tracked in async_outstanding_ so the destructor can drain.
+  // The one place a shard attempt is issued: wrap `inner` for `shard` under
+  // a fresh seq and submit it to replica `replica`'s transport. `done` runs
+  // exactly once with the settled outcome — inline for a transport that
+  // completes inside SubmitRoundTrip, otherwise on the transport's
+  // completion thread — and must not block. Tracked in async_outstanding_
+  // so the destructor can drain.
   void AsyncReplicaTrip(size_t shard, size_t replica,
                         const std::vector<uint8_t>& inner,
                         std::function<void(Result<Frame>)> done);
 
-  // True when every replica of `shard` (resp. of every slice) supports
-  // thread-safe non-blocking submission — the gate for the async fan-out
-  // (mixed deployments keep the blocking path for correctness).
-  bool AsyncCapable(size_t shard) const;
-  bool AllAsyncCapable() const;
+  // One *logical* round trip per listed slice, each walking
+  // ReplicaOrder(shard) — failing over, optionally hedging — until a
+  // replica answers or the attempt budget is spent. The caller is the only
+  // thread that waits. out[i] answers shards[i].
+  std::vector<Result<Frame>> FanOutShards(const std::vector<size_t>& shards,
+                                          const std::vector<uint8_t>& inner);
 
-  // Submit-and-await fan-out: one logical trip per listed slice, all
-  // submitted up front through the multiplexed transports, so N round
-  // trips are in flight with ZERO workers parked on sockets — the awaiting
-  // caller is the only blocked thread. Failover resubmits the next replica
-  // from the completion callback; hedges fire from the awaiting caller at
-  // their monotonic deadlines (no pool needed, unlike the blocking path).
-  // out[i] answers shards[i].
-  std::vector<Result<Frame>> AsyncFanOutShards(
-      const std::vector<size_t>& shards, const std::vector<uint8_t>& inner);
+  // FanOutShards over every slice, in shard order.
+  std::vector<Result<Frame>> FanOut(const std::vector<uint8_t>& inner);
 
-  // Registration traffic, async flavor: one attempt per replica of every
-  // slice, all in flight at once.
-  std::vector<std::vector<Result<Frame>>> AsyncFanOutAllReplicas(
+  // One attempt per replica of every slice (pings and registration traffic:
+  // every replica needs the session key). out[s][r] is replica r's result.
+  std::vector<std::vector<Result<Frame>>> FanOutAllReplicas(
       const std::vector<uint8_t>& inner);
-
-  // One *logical* round trip for the slice: walks ReplicaOrder(shard) —
-  // failing over, optionally hedging the first attempt onto a second
-  // replica — until a replica answers or the attempt budget is spent.
-  Result<Frame> ShardRoundTrip(size_t shard,
-                               const std::vector<uint8_t>& inner);
-
-  // A primary/hedge pair raced on the executor: the primary sends
-  // immediately; the watcher task fires the duplicate to `hedge` if the
-  // primary has not landed within hedge_delay_ms (woken early the moment
-  // it does). Returns the winning result and whether the hedge fired/won.
-  struct HedgeOutcome {
-    Result<Frame> result{Status::Internal("hedged trip not run")};
-    bool hedge_fired = false;
-    bool hedge_won = false;
-    bool primary_failed = false;
-  };
-  HedgeOutcome HedgedTrip(size_t shard, size_t primary, size_t hedge,
-                          const std::vector<uint8_t>& inner);
 
   // Replica indices of `shard` in send order: circuit-closed replicas
   // first (ascending, for determinism), circuit-open ones after; with
   // probe_probability, one open replica may be promoted to the front as a
   // re-admission probe.
   std::vector<size_t> ReplicaOrder(size_t shard);
-
-  // Fans `inner` out to every slice (one *logical* trip per slice — each
-  // with its own failover/hedging) — the trips overlap as executor tasks
-  // on pool_, capped per request by options_.fanout_threads — and collects
-  // the inner response frames in shard order.
-  std::vector<Result<Frame>> FanOut(const std::vector<uint8_t>& inner);
-
-  // Fans `inner` to every replica of every slice (registration traffic:
-  // every replica needs the session key). out[s][r] is replica r's result.
-  std::vector<std::vector<Result<Frame>>> FanOutAllReplicas(
-      const std::vector<uint8_t>& inner);
-
-  // Admission control: grants up to `want` in-flight slots (all of them
-  // when max_inflight is 0). ReleaseInflight returns what was granted.
-  size_t AcquireInflight(size_t want);
-  void ReleaseInflight(size_t granted);
 
   // The typed kBusy response for a shed request.
   std::vector<uint8_t> BusyFrame();
@@ -450,33 +394,26 @@ class ShardCoordinator {
   // replicas_[s][r]: replica r of slice s. Elements not owned.
   const std::vector<std::vector<ShardTransport*>> replicas_;
   const ShardCoordinatorOptions options_;
-  // Spawned only when the caller passed no pool but asked for overlapped
-  // fan-out (fanout_threads > 1); pool_ then points at it.
-  std::unique_ptr<ThreadPool> owned_pool_;
   // One executor for batches AND per-request fan-outs: fan-out regions
   // nest inside batch regions and idle workers steal across them.
-  ThreadPool* pool_;  // caller's pool or owned_pool_; null => all serial
-
-  // Transports are plain blocking request/response channels with no
-  // multiplexing, so round trips on one transport must not interleave.
-  // transport_mu_[s][r] guards replicas_[s][r]; hedged duplicates go to a
-  // different replica precisely so they never queue behind the slow
-  // primary on its transport lock.
-  std::vector<std::vector<std::unique_ptr<std::mutex>>> transport_mu_;
+  ThreadPool* pool_;  // not owned; null => all serial
+  // pool_ when some replica completes inline (its trips then overlap as
+  // pool tasks), else null: async submits need no workers.
+  ThreadPool* const submit_pool_;
 
   // Circuit breakers: consecutive transport-level failures per replica.
   std::vector<std::vector<std::unique_ptr<std::atomic<uint32_t>>>>
       replica_failures_;
 
   // Probe draws for breaker re-admission (seeded; serialized — the draw is
-  // a few ns against a blocking round trip).
+  // a few ns against a round trip).
   std::mutex probe_mu_;
   Rng probe_rng_;
 
-  // In-flight request count against options_.max_inflight.
-  std::atomic<size_t> inflight_{0};
+  // Admission control against options_.max_inflight.
+  InflightBudget inflight_;
 
-  // In-flight async replica attempts (submitted, completion not yet
+  // In-flight replica attempts (submitted, completion not yet
   // returned). The destructor waits for zero: a late hedge loser's
   // completion still runs SettleReplicaTrip against this coordinator.
   mutable std::mutex async_drain_mu_;

@@ -157,6 +157,7 @@ Result<std::vector<uint8_t>> TcpTransport::RoundTrip(
   // idempotent and seq/epoch-fenced, so the duplicate send cannot
   // mis-merge. A connection established by this very call gets no retry:
   // the peer is down, not stale.
+  std::lock_guard<std::mutex> lock(mu_);
   const bool pooled = fd_ >= 0;
   EMB_RETURN_NOT_OK(EnsureConnected());
   auto response = TrySend(request);
@@ -331,8 +332,7 @@ Result<std::vector<uint8_t>> FaultyTransport::MutateResponseLocked(
 
 Result<std::vector<uint8_t>> FaultyTransport::RoundTrip(
     const std::vector<uint8_t>& request) {
-  // The blocking path keeps the pre-async contract: one mutex across the
-  // whole inner round trip, so the decorator also serializes.
+  // One mutex across the whole inner round trip: the decorator serializes.
   std::lock_guard<std::mutex> lock(mu_);
   const TransportFault fault = NextFaultLocked();
   if (fault == TransportFault::kDelay) {
@@ -343,6 +343,12 @@ Result<std::vector<uint8_t>> FaultyTransport::RoundTrip(
 
 void FaultyTransport::SubmitRoundTrip(const std::vector<uint8_t>& request,
                                       RoundTripCompletion done) {
+  if (!inner_->SupportsAsyncSubmit()) {
+    // An inline inner completes on this thread anyway: keep the blocking
+    // path's serialized schedule and in-line kDelay sleep.
+    done(RoundTrip(request));
+    return;
+  }
   TransportFault fault;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -1,9 +1,12 @@
 // Transports carrying framed requests between a ShardCoordinator and its
 // shard servers, plus the shard-side endpoint that unwraps them.
 //
-// A ShardTransport is a blocking request/response channel for
-// server/framing.h frames: the coordinator writes one kShardRequest frame
-// and reads exactly one response frame. Three implementations:
+// A ShardTransport is a request/response channel for server/framing.h
+// frames: the coordinator submits one kShardRequest frame and receives
+// exactly one response frame. Every transport is thread-safe by itself —
+// the coordinator calls it from many threads and takes no lock around it.
+// Three implementations here (MultiplexedTransport, the async one, lives
+// in server/multiplexed_transport.h):
 //
 //   InProcessTransport  wraps a ShardEndpoint directly — zero copies beyond
 //                       the frames themselves; used by tests, benches and
@@ -13,6 +16,8 @@
 //   TcpTransport        a loopback/LAN socket with send/recv timeouts, so a
 //                       dead shard surfaces as a typed Unavailable status
 //                       instead of a hang. Reconnects lazily after failures.
+//                       One round trip at a time per connection (its own
+//                       mutex serializes callers).
 //   FaultyTransport     a decorator injecting deterministic transport
 //                       faults (drop / truncate / bit-flip / reorder /
 //                       delay) for the coordinator fault-injection suite.
@@ -59,23 +64,23 @@ class ShardTransport {
   /// \brief Sends one frame and blocks for the response frame. Any
   ///        transport-level failure (peer dead, timeout, short read) is a
   ///        non-OK status — implementations must not hang forever and must
-  ///        not crash, whatever the peer does. Implementations need not be
-  ///        thread-safe unless SupportsAsyncSubmit() is true; the
-  ///        coordinator serializes calls per non-multiplexed transport.
+  ///        not crash, whatever the peer does. Must be thread-safe:
+  ///        callers do not serialize calls, so a channel that cannot carry
+  ///        interleaved round trips serializes them itself.
   virtual Result<std::vector<uint8_t>> RoundTrip(
       const std::vector<uint8_t>& request) = 0;
 
-  /// \brief True when SubmitRoundTrip is genuinely non-blocking AND
-  ///        concurrent RoundTrip/SubmitRoundTrip calls are thread-safe
-  ///        (in-flight requests interleave on the channel instead of
-  ///        queueing). The coordinator then switches that slice's fan-out
-  ///        to submit-and-await: no executor worker parks on transport I/O.
+  /// \brief True when SubmitRoundTrip is genuinely non-blocking: it
+  ///        returns before the trip completes, and in-flight requests
+  ///        interleave on the channel instead of queueing. Then no
+  ///        executor worker parks on transport I/O, and the coordinator's
+  ///        hedges can race a slow primary.
   virtual bool SupportsAsyncSubmit() const { return false; }
 
   /// \brief Starts one round trip and delivers the outcome to `done`
-  ///        exactly once. The base implementation degrades to the blocking
-  ///        RoundTrip inline — callers must already hold whatever
-  ///        serialization the transport needs in that case.
+  ///        exactly once. The base implementation runs the blocking
+  ///        RoundTrip inline and completes before returning; it is as
+  ///        thread-safe as RoundTrip is.
   virtual void SubmitRoundTrip(const std::vector<uint8_t>& request,
                                RoundTripCompletion done) {
     done(RoundTrip(request));
@@ -138,7 +143,8 @@ struct TcpTransportOptions {
   int io_timeout_ms = 5000;
 };
 
-/// \brief Blocking TCP client for one shard. After any failure the
+/// \brief Blocking TCP client for one shard. Thread-safe: concurrent
+///        round trips queue on the one connection. After any failure the
 ///        connection is torn down and the next RoundTrip reconnects, so a
 ///        restarted shard process heals without coordinator restarts.
 ///        A round trip that fails on an already-pooled connection (the peer
@@ -166,6 +172,7 @@ class TcpTransport : public ShardTransport {
   TcpTransport(std::string host, uint16_t port, TcpTransportOptions options,
                int fd);
 
+  // The helpers below run under mu_.
   Status EnsureConnected();
   void Disconnect();
 
@@ -175,6 +182,9 @@ class TcpTransport : public ShardTransport {
   const std::string host_;
   const uint16_t port_;
   const TcpTransportOptions options_;
+  // Serializes round trips: the connection carries one request/response
+  // exchange at a time, and connect/resend replace fd_.
+  std::mutex mu_;
   int fd_ = -1;
 };
 
@@ -232,11 +242,11 @@ struct FaultyTransportOptions {
 };
 
 /// \brief Decorator wrapping any transport with seeded, reproducible
-///        transport faults. Thread-safe. The blocking path holds a single
-///        mutex across the inner round trip (serializing, which matches the
-///        coordinator's per-transport locking for non-multiplexed inners);
-///        the async path holds it only around the fault draw and the
-///        response mutation, so concurrent in-flight submits through a
+///        transport faults. Thread-safe. Over an inline inner transport it
+///        holds a single mutex across the inner round trip, so the fault
+///        schedule and the reorder hold slot see calls in one order; over
+///        an async inner it holds the mutex only around the fault draw and
+///        the response mutation, so concurrent in-flight submits through a
 ///        MultiplexedTransport stay concurrent — the decorator composes
 ///        with the multiplexer instead of flattening it.
 class FaultyTransport : public ShardTransport {
@@ -250,7 +260,8 @@ class FaultyTransport : public ShardTransport {
   /// \brief Async submission is exposed iff the inner transport exposes it;
   ///        the same fault schedule applies to submitted trips (a kDelay
   ///        completion is deferred off-thread so it never stalls the inner
-  ///        transport's event loop).
+  ///        transport's event loop). Over an inline inner, a submit is the
+  ///        blocking RoundTrip.
   bool SupportsAsyncSubmit() const override {
     return inner_->SupportsAsyncSubmit();
   }

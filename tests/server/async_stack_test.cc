@@ -26,43 +26,11 @@
 #include "server/multiplexed_transport.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
+#include "server/test_transports.h"
 #include "testutil.h"
 
 namespace embellish::server {
 namespace {
-
-// A TCP slice-server fleet: one listener + blocking serve thread per shard.
-class ShardFleet {
- public:
-  ~ShardFleet() { Stop(); }
-
-  uint16_t Add(ShardEndpoint* endpoint) {
-    uint16_t port = 0;
-    auto listen_fd = ListenOnLoopback(&port);
-    EXPECT_TRUE(listen_fd.ok()) << listen_fd.status().ToString();
-    listen_fds_.push_back(*listen_fd);
-    threads_.emplace_back([fd = *listen_fd, endpoint] {
-      (void)ServeShardConnections(fd, endpoint);
-    });
-    return port;
-  }
-
-  // Call only after every transport into the fleet has been destroyed
-  // (the serve loops return to accept() once their connection closes).
-  void Stop() {
-    for (int fd : listen_fds_) {
-      shutdown(fd, SHUT_RDWR);
-      close(fd);
-    }
-    listen_fds_.clear();
-    for (auto& t : threads_) t.join();
-    threads_.clear();
-  }
-
- private:
-  std::vector<int> listen_fds_;
-  std::vector<std::thread> threads_;
-};
 
 // A blocking framed client for the front-end side.
 class WireClient {
@@ -89,40 +57,6 @@ class WireClient {
 
  private:
   int fd_ = -1;
-};
-
-// KillableTransport that keeps the inner transport's async capability, so
-// the PR 6 kill storm runs on the submit-and-await fan-out path.
-class AsyncKillableTransport : public ShardTransport {
- public:
-  explicit AsyncKillableTransport(ShardTransport* inner) : inner_(inner) {}
-
-  Result<std::vector<uint8_t>> RoundTrip(
-      const std::vector<uint8_t>& request) override {
-    if (dead_.load(std::memory_order_relaxed)) {
-      return Status::Unavailable("replica killed");
-    }
-    return inner_->RoundTrip(request);
-  }
-
-  bool SupportsAsyncSubmit() const override {
-    return inner_->SupportsAsyncSubmit();
-  }
-
-  void SubmitRoundTrip(const std::vector<uint8_t>& request,
-                       RoundTripCompletion done) override {
-    if (dead_.load(std::memory_order_relaxed)) {
-      done(Status::Unavailable("replica killed"));
-      return;
-    }
-    inner_->SubmitRoundTrip(request, std::move(done));
-  }
-
-  void Kill() { dead_.store(true, std::memory_order_relaxed); }
-
- private:
-  ShardTransport* inner_;  // not owned
-  std::atomic<bool> dead_{false};
 };
 
 class AsyncStackTest : public ::testing::Test {
@@ -388,7 +322,7 @@ TEST_F(AsyncStackTest, ReplicatedKillStormOverMultiplexedTransportsStaysSound) {
   {
     std::vector<std::unique_ptr<MultiplexedTransport>> muxes;
     std::vector<std::unique_ptr<FaultyTransport>> faulty;
-    std::vector<std::unique_ptr<AsyncKillableTransport>> killable;
+    std::vector<std::unique_ptr<KillSwitchTransport>> killable;
     std::vector<std::vector<ShardTransport*>> groups(kShards);
     for (size_t s = 0; s < kShards; ++s) {
       for (int replica = 0; replica < 2; ++replica) {
@@ -407,7 +341,7 @@ TEST_F(AsyncStackTest, ReplicatedKillStormOverMultiplexedTransportsStaysSound) {
             std::make_unique<FaultyTransport>(muxes.back().get(), fo));
         if (replica == 0) {
           killable.push_back(
-              std::make_unique<AsyncKillableTransport>(faulty.back().get()));
+              std::make_unique<KillSwitchTransport>(faulty.back().get()));
           groups[s].push_back(killable.back().get());
         } else {
           groups[s].push_back(faulty.back().get());

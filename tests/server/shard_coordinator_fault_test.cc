@@ -7,12 +7,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 
 #include "core/wire_format.h"
 #include "index/builder.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
+#include "server/test_transports.h"
 #include "testutil.h"
 
 namespace embellish::server {
@@ -295,24 +295,6 @@ TEST_F(CoordinatorFaultTest, SeededFaultStormNeverCorruptsAnswers) {
   EXPECT_GT(injected, 0u);
 }
 
-// A transport whose peer can be killed mid-test.
-class KillableTransport : public ShardTransport {
- public:
-  explicit KillableTransport(ShardTransport* inner) : inner_(inner) {}
-  Result<std::vector<uint8_t>> RoundTrip(
-      const std::vector<uint8_t>& request) override {
-    if (dead_.load(std::memory_order_relaxed)) {
-      return Status::Unavailable("replica killed");
-    }
-    return inner_->RoundTrip(request);
-  }
-  void Kill() { dead_.store(true, std::memory_order_relaxed); }
-
- private:
-  ShardTransport* inner_;  // not owned
-  std::atomic<bool> dead_{false};
-};
-
 TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
   // The full stack at once: two replicas per slice, seeded random faults on
   // ~35% of every replica's round trips, hedging armed, retry/failover on,
@@ -343,7 +325,7 @@ TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
   // Both replicas of every slice run the fault storm; replica 0 is
   // additionally killable.
   std::vector<std::unique_ptr<FaultyTransport>> storm_faulty;
-  std::vector<std::unique_ptr<KillableTransport>> killable;
+  std::vector<std::unique_ptr<KillSwitchTransport>> killable;
   std::vector<std::vector<ShardTransport*>> groups(kShards);
   for (size_t s = 0; s < kShards; ++s) {
     FaultyTransportOptions fo;
@@ -353,7 +335,7 @@ TEST_F(CoordinatorFaultTest, ReplicatedStormWithMidRunKillStaysSound) {
     storm_faulty.push_back(std::make_unique<FaultyTransport>(
         inner_transports_[s].get(), fo));
     killable.push_back(
-        std::make_unique<KillableTransport>(storm_faulty.back().get()));
+        std::make_unique<KillSwitchTransport>(storm_faulty.back().get()));
     groups[s].push_back(killable.back().get());
     fo.seed = 9000 + s;
     storm_faulty.push_back(std::make_unique<FaultyTransport>(

@@ -12,11 +12,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <thread>
 
 #include "index/builder.h"
 #include "server/io_util.h"
 #include "server/session_client.h"
+#include "server/test_transports.h"
 #include "testutil.h"
 
 namespace embellish::server {
@@ -198,10 +200,9 @@ TEST_F(ShardCoordinatorTest, BatchedDispatchMatchesSerial) {
   EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
   ShardCoordinatorOptions copts;
-  copts.fanout_threads = 2;
   Rig rig = MakeRig(3, copts);
-  // Batched coordinator dispatch and each query's capped fan-out now share
-  // the caller's pool: fan-out regions nest inside the batch region.
+  // Batched coordinator dispatch and each query's fan-out share the
+  // caller's pool: fan-out regions nest inside the batch region.
   std::vector<ShardTransport*> shared;
   for (auto& t : rig.transports) shared.push_back(t.get());
   ShardCoordinator batched(shared, copts, &pool);
@@ -239,7 +240,6 @@ TEST_F(ShardCoordinatorTest, BatchedPirDispatchMatchesSerialAndSharded) {
   EmbellishServer sharded(&built_.index, &org_, nullptr, shard_options);
 
   ShardCoordinatorOptions copts;
-  copts.fanout_threads = 2;
   Rig rig = MakeRig(kShards, copts);
   std::vector<ShardTransport*> shared;
   for (auto& t : rig.transports) shared.push_back(t.get());
@@ -558,6 +558,57 @@ TEST_F(ShardCoordinatorTest, TcpTransportOverLoopback) {
     close(fd);
   }
   for (auto& t : serve_threads) t.join();
+}
+
+TEST_F(ShardCoordinatorTest, ConcurrentTcpRoundTripsEachGetTheirOwnResponse) {
+  // The coordinator takes no lock around a transport, so TcpTransport
+  // serializes its one connection itself: callers racing on it must each
+  // read the response to their own request — the envelope echoes its seq —
+  // never a neighbor's, and never a torn frame.
+  EmbellishServerOptions options;
+  options.shard_slice = 0;
+  options.shard_slice_count = 1;
+  EmbellishServer server(&built_.index, &org_, nullptr, options);
+  ShardEndpoint endpoint(&server, 0);
+  ShardFleet fleet;
+  const uint16_t port = fleet.Add(&endpoint);
+  {
+    auto transport = TcpTransport::Connect("127.0.0.1", port);
+    ASSERT_TRUE(transport.ok()) << transport.status().ToString();
+    constexpr uint64_t kCallers = 4;
+    constexpr uint64_t kTripsPerCaller = 50;
+    std::atomic<size_t> failures{0};
+    std::atomic<size_t> foreign{0};
+    std::vector<std::thread> callers;
+    for (uint64_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (uint64_t i = 0; i < kTripsPerCaller; ++i) {
+          const uint64_t seq = c * kTripsPerCaller + i;
+          auto response = (*transport)->RoundTrip(
+              EncodeFrame(FrameKind::kShardRequest, 0,
+                          EncodeShardEnvelope(0, 1, seq, {})));
+          auto frame = response.ok() ? DecodeFrame(*response)
+                                     : Result<Frame>(response.status());
+          auto envelope = frame.ok() ? DecodeShardEnvelope(frame->payload)
+                                     : Result<ShardEnvelope>(frame.status());
+          // A desynchronized stream stays broken: stop at the first miss
+          // instead of waiting out one I/O timeout per remaining trip.
+          if (!envelope.ok()) {
+            failures.fetch_add(1);
+            return;
+          }
+          if (envelope->seq != seq) {
+            foreign.fetch_add(1);
+            return;
+          }
+        }
+      });
+    }
+    for (auto& caller : callers) caller.join();
+    EXPECT_EQ(failures.load(), 0u);
+    EXPECT_EQ(foreign.load(), 0u);
+  }
+  fleet.Stop();
 }
 
 // Thin adapters over the shared io_util helpers (the bounded socket loops

@@ -8,42 +8,19 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-
 #include "core/sharded_retrieval.h"
 #include "core/wire_format.h"
 #include "index/builder.h"
 #include "index/sharding.h"
+#include "server/event_loop.h"
+#include "server/multiplexed_transport.h"
 #include "server/session_client.h"
 #include "server/shard_coordinator.h"
+#include "server/test_transports.h"
 #include "testutil.h"
 
 namespace embellish::server {
 namespace {
-
-// A transport whose peer can be killed and revived mid-test.
-class KillSwitchTransport : public ShardTransport {
- public:
-  explicit KillSwitchTransport(ShardTransport* inner) : inner_(inner) {}
-
-  Result<std::vector<uint8_t>> RoundTrip(
-      const std::vector<uint8_t>& request) override {
-    calls_.fetch_add(1, std::memory_order_relaxed);
-    if (dead_.load(std::memory_order_relaxed)) {
-      return Status::Unavailable("replica killed");
-    }
-    return inner_->RoundTrip(request);
-  }
-
-  void Kill() { dead_.store(true, std::memory_order_relaxed); }
-  void Revive() { dead_.store(false, std::memory_order_relaxed); }
-  size_t calls() const { return calls_.load(std::memory_order_relaxed); }
-
- private:
-  ShardTransport* inner_;  // not owned
-  std::atomic<bool> dead_{false};
-  std::atomic<size_t> calls_{0};
-};
 
 class ReplicaTest : public ::testing::Test {
  protected:
@@ -91,6 +68,50 @@ class ReplicaTest : public ::testing::Test {
       }
     }
     return groups;
+  }
+
+  // The same replica layout served over loopback TCP and reached through
+  // MultiplexedTransports on one event loop, each behind a kill switch:
+  // hedges only race a primary whose submit returns before it completes.
+  struct MuxRig {
+    std::unique_ptr<EventLoop> loop;
+    ShardFleet fleet;
+    std::vector<std::unique_ptr<MultiplexedTransport>> muxes;
+    std::vector<std::unique_ptr<KillSwitchTransport>> kills;
+
+    ~MuxRig() {
+      kills.clear();
+      muxes.clear();  // transports go before the loop stops
+      fleet.Stop();
+      if (loop != nullptr) loop->Stop();
+    }
+
+    KillSwitchTransport* kill(size_t shard, size_t replica) {
+      return kills[shard * kReplicas + replica].get();
+    }
+
+    std::vector<std::vector<ShardTransport*>> groups() {
+      std::vector<std::vector<ShardTransport*>> out(kShards);
+      for (size_t s = 0; s < kShards; ++s) {
+        for (size_t r = 0; r < kReplicas; ++r) out[s].push_back(kill(s, r));
+      }
+      return out;
+    }
+  };
+
+  void BuildMuxRig(MuxRig* rig) {
+    auto loop = EventLoop::Create();
+    ASSERT_TRUE(loop.ok()) << loop.status().ToString();
+    rig->loop = std::move(*loop);
+    ASSERT_TRUE(rig->loop->Start().ok());
+    for (const auto& endpoint : endpoints_) {
+      auto mux = MultiplexedTransport::Connect(
+          "127.0.0.1", rig->fleet.Add(endpoint.get()), rig->loop.get());
+      ASSERT_TRUE(mux.ok()) << mux.status().ToString();
+      rig->muxes.push_back(std::move(*mux));
+      rig->kills.push_back(
+          std::make_unique<KillSwitchTransport>(rig->muxes.back().get()));
+    }
   }
 
   SessionClient MakeClient(uint64_t session_id, uint64_t seed) {
@@ -216,12 +237,15 @@ TEST_F(ReplicaTest, BreakerProbeReAdmitsHealedReplica) {
 TEST_F(ReplicaTest, HedgeWinsWhenPrimaryDies) {
   // Every slice's primary is dead: with hedging armed, the duplicate to the
   // second replica answers every logical trip — bytes identical, and the
-  // hedge/failover counters prove the path was exercised.
-  for (size_t s = 0; s < kShards; ++s) kill(s, 0)->Kill();
+  // hedge/failover counters prove the path was exercised. Multiplexed
+  // replicas, because hedges race only async submits.
+  MuxRig rig;
+  BuildMuxRig(&rig);
+  if (HasFatalFailure()) return;
+  for (size_t s = 0; s < kShards; ++s) rig.kill(s, 0)->Kill();
   ShardCoordinatorOptions options;
   options.hedge_delay_ms = 0;
-  ThreadPool pool(2);
-  ShardCoordinator coordinator(MakeGroups(), options, &pool);
+  ShardCoordinator coordinator(rig.groups(), options);
   SessionClient client = MakeClient(4, 704);
   mono_.HandleFrame(client.HelloFrame());
   EXPECT_EQ(DecodeFrame(coordinator.HandleFrame(client.HelloFrame()))->kind,
@@ -246,20 +270,23 @@ TEST_F(ReplicaTest, StaleHedgeResponseIsNeverMerged) {
   // older request. The seq fence must reject it every time — the client
   // sees typed errors, never a merge over stale bytes — and a healed
   // primary immediately restores bit-identical answers.
+  // Multiplexed replicas, because hedges race only async submits.
+  MuxRig rig;
+  BuildMuxRig(&rig);
+  if (HasFatalFailure()) return;
   FaultyTransportOptions faulty_options;
   faulty_options.schedule = {TransportFault::kReorder};
   faulty_options.cycle = true;
-  FaultyTransport reordering(kill(1, 1), faulty_options);
+  FaultyTransport reordering(rig.kill(1, 1), faulty_options);
 
-  std::vector<std::vector<ShardTransport*>> groups = MakeGroups();
+  std::vector<std::vector<ShardTransport*>> groups = rig.groups();
   groups[1][1] = &reordering;
 
   ShardCoordinatorOptions options;
   options.hedge_delay_ms = 0;
   options.breaker_threshold = 0;  // keep the replica order fixed
   options.probe_probability = 0;
-  ThreadPool pool(2);
-  ShardCoordinator storm(groups, options, &pool);
+  ShardCoordinator storm(groups, options);
   SessionClient client = MakeClient(5, 705);
   mono_.HandleFrame(client.HelloFrame());
   // Register while the primary lives (the reordering replica never acks,
@@ -273,7 +300,7 @@ TEST_F(ReplicaTest, StaleHedgeResponseIsNeverMerged) {
 
   // Now the primary dies: every slice-1 trip hedges onto the reordering
   // replica, which always answers with the previous request's response.
-  kill(1, 0)->Kill();
+  rig.kill(1, 0)->Kill();
   for (size_t round = 0; round < 4; ++round) {
     Status error = RequireTypedError(storm.HandleFrame(*request));
     EXPECT_TRUE(error.IsUnavailable()) << error.ToString();
@@ -283,7 +310,7 @@ TEST_F(ReplicaTest, StaleHedgeResponseIsNeverMerged) {
 
   // Primary healed: the next query must merge bit-identically again (the
   // held stale response on the hedge replica can never leak into it).
-  kill(1, 0)->Revive();
+  rig.kill(1, 0)->Revive();
   EXPECT_EQ(storm.HandleFrame(*request), reference);
 }
 
