@@ -142,7 +142,18 @@ void BM_BenalohDecrypt3k(benchmark::State& state) {
         *c, crypto::BenalohDecryptMode::kPowerOfThreeDigits));
   }
 }
-BENCHMARK(BM_BenalohDecrypt3k)->Arg(256)->Arg(512);
+BENCHMARK(BM_BenalohDecrypt3k)->Arg(256)->Arg(512)->Arg(1024);
+
+// The default decryption (kAuto: the two-level table split for r = 3^10).
+void BM_BenalohDecryptAuto(benchmark::State& state) {
+  auto* kp = BenalohKeys(static_cast<size_t>(state.range(0)));
+  Rng rng(7);
+  auto c = kp->public_key().Encrypt(31415, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kp->private_key().Decrypt(*c));
+  }
+}
+BENCHMARK(BM_BenalohDecryptAuto)->Arg(256)->Arg(512)->Arg(1024);
 
 void BM_BenalohDecryptBsgs(benchmark::State& state) {
   auto* kp = BenalohKeys(static_cast<size_t>(state.range(0)));
@@ -153,7 +164,29 @@ void BM_BenalohDecryptBsgs(benchmark::State& state) {
         *c, crypto::BenalohDecryptMode::kBabyStepGiantStep));
   }
 }
-BENCHMARK(BM_BenalohDecryptBsgs)->Arg(256)->Arg(512);
+BENCHMARK(BM_BenalohDecryptBsgs)->Arg(256)->Arg(512)->Arg(1024);
+
+// Algorithm 5 as the pr_recurring workload runs it: ~200 candidates' scores
+// (256-bit key, r = 3^10, most of them decoys' zeros) decrypted, ranked and
+// cut to the top 10.
+void BM_PostFilter(benchmark::State& state) {
+  auto* kp = BenalohKeys(256);
+  Rng rng(16);
+  core::EncryptedResult result;
+  for (uint32_t doc = 0; doc < 200; ++doc) {
+    const uint64_t score = doc % 4 == 0 ? rng.Uniform(2000) : 0;
+    result.candidates.push_back(
+        {doc, *kp->public_key().Encrypt(score, &rng)});
+  }
+  core::PrivateRetrievalClient client(/*buckets=*/nullptr, &kp->public_key(),
+                                      &kp->private_key());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client.PostFilter(result, 10, nullptr));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(result.candidates.size()));
+}
+BENCHMARK(BM_PostFilter)->Unit(benchmark::kMicrosecond);
 
 void BM_PaillierEncrypt(benchmark::State& state) {
   Rng rng(9);
@@ -246,6 +279,7 @@ void BM_BenalohEncryptBatchKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_BenalohEncryptBatchKernel)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+// 4096 rows decoded at the given key width.
 void BM_PirDecode(benchmark::State& state) {
   const size_t rows = 4096;
   const size_t cols = 8;
@@ -254,15 +288,19 @@ void BM_PirDecode(benchmark::State& state) {
   for (size_t i = 0; i < rows; ++i) {
     for (size_t j = 0; j < cols; ++j) db->SetBit(i, j, rng.Bernoulli(0.5));
   }
-  auto client = crypto::PirClient::Create(256, &rng);
+  auto client =
+      crypto::PirClient::Create(static_cast<size_t>(state.range(0)), &rng);
   crypto::PirServer server(db);
   auto query = client->BuildQuery(2, cols, &rng);
   auto response = server.Answer(*query);
   for (auto _ : state) {
     benchmark::DoNotOptimize(client->DecodeResponse(*response));
   }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(rows));
 }
-BENCHMARK(BM_PirDecode);
+BENCHMARK(BM_PirDecode)->Arg(256)->Arg(512)->Arg(1024)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_MillerRabinPrimality(benchmark::State& state) {
   Rng rng(13);

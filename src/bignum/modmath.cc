@@ -1,6 +1,10 @@
 #include "bignum/modmath.h"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
+#include <utility>
+#include <vector>
 
 #include "bignum/montgomery.h"
 
@@ -123,25 +127,125 @@ Result<BigInt> ModInverse(const BigInt& a, const BigInt& m) {
   return inv;
 }
 
-int Jacobi(const BigInt& a_in, const BigInt& n_in) {
-  assert(n_in.IsOdd() && !n_in.IsZero());
-  BigInt a = a_in % n_in;
-  BigInt n = n_in;
-  int result = 1;
-  while (!a.IsZero()) {
-    // Pull out factors of two; each contributes (2/n) = (-1)^((n^2-1)/8).
-    while (a.IsEven()) {
-      a = a >> 1;
-      uint64_t n_mod8 = n.Low64() & 7;
-      if (n_mod8 == 3 || n_mod8 == 5) result = -result;
+namespace {
+
+using u128 = unsigned __int128;
+
+// The binary Jacobi loop of JacobiLimbs on native words, which it finishes
+// on once both operands fit in two limbs: from there a step is a handful of
+// branch-free instructions instead of limb loops. `flips` counts sign flips
+// (mod 2): (2/n) = -1 iff bits 1 and 2 of n differ (n = 3, 5 mod 8), and
+// reciprocity flips when bit 1 of both a and n is set (both 3 mod 4).
+template <typename Word>
+void JacobiWordSteps(Word* a_io, Word* n_io, unsigned* flips, Word stop) {
+  Word a = *a_io;
+  Word n = *n_io;
+  while (a != 0 && (a | n) > stop) {
+    const uint64_t lo = static_cast<uint64_t>(a);
+    unsigned shift;
+    if constexpr (sizeof(Word) > sizeof(uint64_t)) {
+      shift = lo != 0 ? static_cast<unsigned>(std::countr_zero(lo))
+                      : 64 + static_cast<unsigned>(std::countr_zero(
+                                 static_cast<uint64_t>(a >> 64)));
+    } else {
+      shift = static_cast<unsigned>(std::countr_zero(lo));
     }
-    std::swap(a, n);
-    // Quadratic reciprocity: flip sign when both are 3 (mod 4).
-    if ((a.Low64() & 3) == 3 && (n.Low64() & 3) == 3) result = -result;
-    a = a % n;
+    a >>= shift;
+    *flips ^= shift & static_cast<unsigned>((n >> 1) ^ (n >> 2));
+    const Word diff = a - n;
+    const bool less = a < n;
+    *flips ^= static_cast<unsigned>(less) & static_cast<unsigned>((a & n) >> 1);
+    n = less ? a : n;
+    a = less ? Word{0} - diff : diff;
   }
-  if (n.IsOne()) return result;
-  return 0;
+  *a_io = a;
+  *n_io = n;
+}
+
+int JacobiU128(u128 a, u128 n, int result) {
+  unsigned flips = result < 0 ? 1 : 0;
+  // 128-bit steps while either operand is wider than 64 bits.
+  JacobiWordSteps<u128>(&a, &n, &flips, u128{UINT64_MAX});
+  if (a != 0) {
+    uint64_t a64 = static_cast<uint64_t>(a);
+    uint64_t n64 = static_cast<uint64_t>(n);
+    JacobiWordSteps<uint64_t>(&a64, &n64, &flips, 0);
+    n = n64;
+  }
+  if (n != 1) return 0;
+  return (flips & 1) != 0 ? -1 : 1;
+}
+
+}  // namespace
+
+int JacobiLimbs(uint64_t* a, uint64_t* n, size_t k) {
+  assert(k > 0 && (n[0] & 1) != 0);
+  // Binary Jacobi: strip factors of two from a, keep a >= n by swapping
+  // (quadratic reciprocity), subtract, repeat until a = 0; n is then
+  // gcd(a, n). Only shifts, compares and subtractions, all in place.
+  size_t len = k;  // limbs at and above `len` are zero in both operands
+  const auto trim = [&] {
+    while (len > 2 && a[len - 1] == 0 && n[len - 1] == 0) --len;
+  };
+  trim();
+  int result = 1;
+  while (len > 2) {
+    size_t zero_limbs = 0;
+    while (zero_limbs < len && a[zero_limbs] == 0) ++zero_limbs;
+    if (zero_limbs == len) break;  // a == 0
+    // Each factor of two contributes (2/n) = -1 iff n = 3, 5 (mod 8); whole
+    // zero limbs hold 64 of them, an even count.
+    const unsigned shift =
+        static_cast<unsigned>(std::countr_zero(a[zero_limbs]));
+    if (zero_limbs != 0 || shift != 0) {
+      for (size_t i = 0; i < len; ++i) {
+        const size_t src = i + zero_limbs;
+        const uint64_t lo = src < len ? a[src] : 0;
+        const uint64_t hi = src + 1 < len ? a[src + 1] : 0;
+        a[i] = shift == 0 ? lo : (lo >> shift) | (hi << (64 - shift));
+      }
+    }
+    if ((shift & 1) != 0 && ((n[0] & 7) == 3 || (n[0] & 7) == 5)) {
+      result = -result;
+    }
+    // Both odd now. Reciprocity flips the sign when both are 3 (mod 4).
+    bool a_less = false;
+    for (size_t i = len; i-- > 0;) {
+      if (a[i] != n[i]) {
+        a_less = a[i] < n[i];
+        break;
+      }
+    }
+    if (a_less) {
+      std::swap(a, n);
+      if ((a[0] & 3) == 3 && (n[0] & 3) == 3) result = -result;
+    }
+    uint64_t borrow = 0;  // a -= n: even, possibly zero
+    for (size_t i = 0; i < len; ++i) {
+      const uint64_t d = a[i] - n[i];
+      const uint64_t next = (a[i] < n[i]) || (d < borrow) ? 1 : 0;
+      a[i] = d - borrow;
+      borrow = next;
+    }
+    trim();
+  }
+  if (len > 2) {  // a reached zero while n is still wider than two limbs
+    return 0;
+  }
+  const auto word = [](const uint64_t* v, size_t len) {
+    return len == 1 ? u128{v[0]} : (u128{v[1]} << 64) | v[0];
+  };
+  return JacobiU128(word(a, len), word(n, len), result);
+}
+
+int Jacobi(const BigInt& a, const BigInt& n) {
+  assert(n.IsOdd() && !n.IsZero());
+  const size_t k = std::max(a.LimbCount(), n.LimbCount());
+  std::vector<uint64_t> a_limbs(a.limbs());
+  std::vector<uint64_t> n_limbs(n.limbs());
+  a_limbs.resize(k, 0);
+  n_limbs.resize(k, 0);
+  return JacobiLimbs(a_limbs.data(), n_limbs.data(), k);
 }
 
 BigInt RandomBelow(const BigInt& bound, Rng* rng) {

@@ -44,7 +44,15 @@ Result<BigInt> ModInverse(const BigInt& a, const BigInt& m);
 /// For n = p*q a product of two odd primes, a is a quadratic residue mod n
 /// iff it is a QR mod both p and q; Jacobi(a, n) == 1 is necessary but not
 /// sufficient — exactly the gap the KO-PIR protocol's security rests on.
+/// Delegates to JacobiLimbs.
 int Jacobi(const BigInt& a, const BigInt& n);
+
+/// \brief Jacobi symbol (a/n) on fixed-width little-endian limbs: `a` and
+///        `n` both hold k limbs, n is odd and nonzero, a need not be reduced.
+///        Binary (division-free) and allocation-free; both arrays are
+///        clobbered. With n prime this is the Legendre symbol — the KO-PIR
+///        client's residuosity test.
+int JacobiLimbs(uint64_t* a, uint64_t* n, size_t k);
 
 /// \brief Uniform value in [0, bound). `bound` must be nonzero.
 BigInt RandomBelow(const BigInt& bound, Rng* rng);

@@ -22,6 +22,34 @@ uint64_t InverseMod2_64(uint64_t x) {
   return inv;
 }
 
+// out = t - n when (hi:t) >= n, else t: the single conditional subtraction
+// that brings a value in [0, 2n) below n; `hi` is a carry limb above t's k
+// limbs. `out` may alias `t`.
+void SubtractModulusIfAtLeast(const uint64_t* t, uint64_t hi,
+                              const uint64_t* n, size_t k, uint64_t* out) {
+  bool geq = hi != 0;
+  if (!geq) {
+    geq = true;
+    for (size_t i = k; i-- > 0;) {
+      if (t[i] != n[i]) {
+        geq = t[i] > n[i];
+        break;
+      }
+    }
+  }
+  if (geq) {
+    u128 borrow = 0;
+    for (size_t i = 0; i < k; ++i) {
+      u128 diff =
+          static_cast<u128>(t[i]) - n[i] - static_cast<uint64_t>(borrow);
+      out[i] = static_cast<uint64_t>(diff);
+      borrow = (diff >> 64) != 0 ? 1 : 0;
+    }
+  } else if (out != t) {
+    std::memcpy(out, t, k * sizeof(uint64_t));
+  }
+}
+
 // Fixed-width CIOS kernel: the loop bounds are compile-time constants, so
 // the compiler fully unrolls the limb loops and keeps the accumulator in
 // registers. Crypto-sized moduli hit this path (k = 4 for 256-bit keys,
@@ -247,7 +275,7 @@ void MontMulSelectFixed(const uint64_t* factors, const uint64_t* selector,
 }  // namespace
 
 MontgomeryContext::Scratch::Scratch(const MontgomeryContext& ctx)
-    : k_(ctx.limb_count()), t_(k_ + 2, 0) {}
+    : k_(ctx.limb_count()), t_(k_ + 2, 0), chunk_(k_, 0) {}
 
 void MontgomeryContext::Scratch::EnsureExpBuffers(size_t k) {
   if (sq_.size() < k) sq_.resize(k);
@@ -341,27 +369,7 @@ void MontgomeryContext::MontMulInto(const uint64_t* a, const uint64_t* b,
   }
 
   // Final conditional subtraction: t is in [0, 2n).
-  bool geq = t[k] != 0;
-  if (!geq) {
-    geq = true;
-    for (size_t i = k; i-- > 0;) {
-      if (t[i] != n[i]) {
-        geq = t[i] > n[i];
-        break;
-      }
-    }
-  }
-  if (geq) {
-    u128 borrow = 0;
-    for (size_t i = 0; i < k; ++i) {
-      u128 diff =
-          static_cast<u128>(t[i]) - n[i] - static_cast<uint64_t>(borrow);
-      out[i] = static_cast<uint64_t>(diff);
-      borrow = (diff >> 64) != 0 ? 1 : 0;
-    }
-  } else {
-    std::memcpy(out, t, k * sizeof(uint64_t));
-  }
+  SubtractModulusIfAtLeast(t, t[k], n, k, out);
 }
 
 void MontgomeryContext::MontMulSelectInto(const uint64_t* factors,
@@ -398,23 +406,47 @@ void MontgomeryContext::MontMulSelectInto(const uint64_t* factors,
 
 void MontgomeryContext::ToMontgomeryInto(const BigInt& a, uint64_t* out,
                                          Scratch* scratch) const {
-  // A zero BigInt has no limbs and a null data(); memcpy from a null
-  // pointer is UB even for zero bytes, so guard the empty case.
-  const auto copy_limbs = [this, out](const std::vector<uint64_t>& limbs) {
-    if (!limbs.empty()) {
-      std::memcpy(out, limbs.data(), limbs.size() * sizeof(uint64_t));
-    }
-    std::memset(out + limbs.size(), 0,
-                (k_ - limbs.size()) * sizeof(uint64_t));
-  };
+  const size_t k = k_;
   const std::vector<uint64_t>& limbs = a.limbs();
-  if (limbs.size() <= k_) {
-    copy_limbs(limbs);
-  } else {
-    const BigInt reduced = a % modulus_;  // slow path: wider than the modulus
-    copy_limbs(reduced.limbs());
+  const uint64_t* r2 = r2_limbs_.data();
+  // Zero-extends limbs [begin, end) of `a` into k limbs at `dst`. A zero
+  // BigInt has no limbs and a null data(); memcpy from a null pointer is UB
+  // even for zero bytes, so the empty range is guarded.
+  const auto load = [&limbs, k](size_t begin, size_t end, uint64_t* dst) {
+    if (end > begin) {
+      std::memcpy(dst, limbs.data() + begin, (end - begin) * sizeof(uint64_t));
+    }
+    std::memset(dst + (end - begin), 0, (k - (end - begin)) * sizeof(uint64_t));
+  };
+  if (limbs.size() <= k) {
+    load(0, limbs.size(), out);
+    MontMulInto(out, r2, out, scratch);
+    return;
   }
-  MontMulInto(out, r2_limbs_.data(), out, scratch);
+
+  // Wider than the modulus: a = sum_i C_i R^i over k-limb chunks C_i, so
+  // Horner from the top chunk gives aR = (...(C_top R + C_{top-1}) R ...)R.
+  // MontMul(x, R^2) = xR maps a chunk into Montgomery form and multiplies an
+  // accumulator already in Montgomery form by R.
+  assert(scratch != nullptr && scratch->k_ >= k);
+  uint64_t* chunk = scratch->chunk_.data();
+  size_t top = (limbs.size() - 1) / k;
+  load(top * k, limbs.size(), chunk);
+  MontMulInto(chunk, r2, out, scratch);
+  const uint64_t* n = n_limbs_.data();
+  while (top-- > 0) {
+    MontMulInto(out, r2, out, scratch);
+    MontMulInto(limbs.data() + top * k, r2, chunk, scratch);
+    // out = (out + chunk) mod n; both inputs are below n.
+    u128 carry = 0;
+    for (size_t i = 0; i < k; ++i) {
+      u128 sum = static_cast<u128>(out[i]) + chunk[i] +
+                 static_cast<uint64_t>(carry);
+      out[i] = static_cast<uint64_t>(sum);
+      carry = sum >> 64;
+    }
+    SubtractModulusIfAtLeast(out, static_cast<uint64_t>(carry), n, k, out);
+  }
 }
 
 void MontgomeryContext::ModExpInto(const uint64_t* base_mont, const BigInt& e,

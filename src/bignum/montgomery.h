@@ -35,8 +35,9 @@ class MontgomeryContext {
   ///
   /// Holds the CIOS accumulator and (lazily, on first ModExpInto) the
   /// windowed-exponentiation tables. Not thread-safe: use one Scratch per
-  /// thread. A Scratch is bound to the limb width of the context it was
-  /// created for and may be reused across contexts of the same width.
+  /// thread. A Scratch is sized for the limb width of the context it was
+  /// created for and may be reused across contexts of that width or
+  /// narrower.
   class Scratch {
    public:
     explicit Scratch(const MontgomeryContext& ctx);
@@ -55,6 +56,7 @@ class MontgomeryContext {
     std::vector<uint64_t> t_;       // k+2 CIOS accumulator
     std::vector<uint64_t> sq_;      // k: base^2 for the odd-power table
     std::vector<uint64_t> window_;  // kExpWindowTableSize * k odd powers
+    std::vector<uint64_t> chunk_;   // k: one chunk of a wide ToMontgomeryInto
   };
 
   /// \brief Builds a context; `modulus` must be odd and > 1.
@@ -97,10 +99,12 @@ class MontgomeryContext {
   void MontMulInto(const uint64_t* a, const uint64_t* b, uint64_t* out,
                    Scratch* scratch) const;
 
-  /// \brief Converts into Montgomery form without heap allocation for values
-  ///        of at most k limbs (they need not be reduced below n — any
-  ///        k-limb value is valid CIOS input). Wider values take a slow,
-  ///        allocating pre-reduction path.
+  /// \brief Converts into Montgomery form without heap allocation, for any
+  ///        width of `a`. Values of at most k limbs need not be reduced below
+  ///        n (any k-limb value is valid CIOS input); wider values are
+  ///        reduced by Horner's rule over k-limb chunks, two MontMuls and a
+  ///        modular add per chunk. This is how a residue mod p*q is brought
+  ///        into a context for the prime p (Benaloh and PIR decryption).
   void ToMontgomeryInto(const BigInt& a, uint64_t* out,
                         Scratch* scratch) const;
 

@@ -1,6 +1,7 @@
 #include "crypto/benaloh.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -227,15 +228,11 @@ Result<BenalohKeyPair> BenalohKeyPair::Generate(
 
   BigInt n = p1 * p2;
   BigInt phi = (p1 - BigInt(1)) * (p2 - BigInt(1));
-  BigInt phi_over_r = phi / r_big;
 
   // Select g whose image x = g^{phi/r} has order exactly r: for every prime
   // q | r we need x^{r/q} != 1, i.e. g^{phi/q} != 1 (mod n).
   std::vector<uint64_t> r_factors = DistinctPrimeFactors(options.r);
-  auto mont_res = bignum::MontgomeryContext::Create(n);
-  if (!mont_res.ok()) return mont_res.status();
-  auto mont = std::make_shared<bignum::MontgomeryContext>(
-      std::move(mont_res).value());
+  EMB_ASSIGN_OR_RETURN(auto mont, bignum::MontgomeryContext::Create(n));
 
   BigInt g;
   bool found_g = false;
@@ -244,7 +241,7 @@ Result<BenalohKeyPair> BenalohKeyPair::Generate(
     bool all_nontrivial = true;
     for (uint64_t q : r_factors) {
       BigInt exp = phi / BigInt(q);
-      if (mont->ModExp(g, exp).IsOne()) {
+      if (mont.ModExp(g, exp).IsOne()) {
         all_nontrivial = false;
         break;
       }
@@ -262,32 +259,138 @@ Result<BenalohKeyPair> BenalohKeyPair::Generate(
   pair.public_key_ = std::make_shared<BenalohPublicKey>(n, g, options.r);
 
   auto priv = std::make_shared<BenalohPrivateKey>();
+  EMB_ASSIGN_OR_RETURN(auto mont_p1, bignum::MontgomeryContext::Create(p1));
+  EMB_ASSIGN_OR_RETURN(auto mont_p2, bignum::MontgomeryContext::Create(p2));
+  priv->mont_p1_ =
+      std::make_shared<bignum::MontgomeryContext>(std::move(mont_p1));
+  priv->mont_p2_ =
+      std::make_shared<bignum::MontgomeryContext>(std::move(mont_p2));
+  priv->exponent_ = (p1 - BigInt(1)) / r_big;
   priv->p1_ = std::move(p1);
   priv->p2_ = std::move(p2);
   priv->n_ = n;
-  priv->phi_ = phi;
-  priv->phi_over_r_ = phi_over_r;
   priv->r_ = options.r;
-  priv->mont_ = mont;
-  priv->x_ = mont->ModExp(g, phi_over_r);
-  EMB_ASSIGN_OR_RETURN(priv->x_inv_, bignum::ModInverse(priv->x_, n));
   priv->three_k_ = ExactPowerOfThree(options.r);
 
-  // BSGS baby table: x^j for j in [0, t), t = ceil(sqrt(r)).
+  // y = g^{(p1-1)/r} mod p1 generates the order-r subgroup (see header);
+  // y^{-1} = y^{r-1}.
+  const bignum::MontgomeryContext& m1 = *priv->mont_p1_;
+  const size_t k1 = m1.limb_count();
+  bignum::MontgomeryContext::Scratch scratch(m1);
+  const std::vector<uint64_t> g_mont = m1.ToMontgomery(g);
+  std::vector<uint64_t> y(k1), y_inv(k1), tmp(k1);
+  m1.ModExpInto(g_mont.data(), priv->exponent_, y.data(), &scratch);
+  m1.ModExpInto(y.data(), BigInt(options.r - 1), y_inv.data(), &scratch);
+  const auto cube = [&](uint64_t* v) {
+    m1.MontMulInto(v, v, tmp.data(), &scratch);
+    m1.MontMulInto(tmp.data(), v, v, &scratch);
+  };
+
   priv->bsgs_t_ = static_cast<uint64_t>(
       std::ceil(std::sqrt(static_cast<double>(options.r))));
-  BigInt cur(1);
-  priv->baby_.reserve(priv->bsgs_t_ * 2);
-  for (uint64_t j = 0; j < priv->bsgs_t_; ++j) {
-    priv->baby_.emplace(cur.ToHexString(), j);
-    cur = mont->Mul(cur, priv->x_);
+  priv->baby_.Build(m1, y.data(), priv->bsgs_t_);
+  priv->giant_.resize(k1);
+  // t < r for every r >= 3, so y^{-t} = y^{r-t}.
+  m1.ModExpInto(y.data(), BigInt(options.r - priv->bsgs_t_),
+                priv->giant_.data(), &scratch);
+
+  const uint64_t k = priv->three_k_;
+  if (k > 0) {
+    priv->w_ = y;
+    for (uint64_t i = 0; i + 1 < k; ++i) cube(priv->w_.data());
+    priv->w2_.resize(k1);
+    m1.MontMulInto(priv->w_.data(), priv->w_.data(), priv->w2_.data(),
+                   &scratch);
+    priv->strips_.resize(2 * k * k1);
+    std::vector<uint64_t> strip = y_inv;  // y^{-3^i}
+    for (uint64_t i = 0; i < k; ++i) {
+      uint64_t* slot = priv->strips_.data() + 2 * i * k1;
+      std::copy(strip.begin(), strip.end(), slot);
+      m1.MontMulInto(slot, slot, slot + k1, &scratch);
+      cube(strip.data());
+    }
+
+    priv->split_cubes_ = k / 2;
+    priv->split_t_ = options.r;
+    for (uint64_t i = 0; i < priv->split_cubes_; ++i) priv->split_t_ /= 3;
+    std::vector<uint64_t> y_s = y;
+    for (uint64_t i = 0; i < priv->split_cubes_; ++i) cube(y_s.data());
+    priv->split_.Build(m1, y_s.data(), priv->split_t_);
+    priv->inverse_.resize(priv->split_t_ * k1);
+    std::copy(m1.One().begin(), m1.One().end(), priv->inverse_.begin());
+    for (uint64_t j = 1; j < priv->split_t_; ++j) {
+      m1.MontMulInto(priv->inverse_.data() + (j - 1) * k1, y_inv.data(),
+                     priv->inverse_.data() + j * k1, &scratch);
+    }
   }
-  // giant = x^{-t} mod n.
-  priv->giant_ = mont->ModExp(priv->x_inv_, BigInt(priv->bsgs_t_));
 
   pair.private_key_ = priv;
   return pair;
 }
+
+void BenalohPrivateKey::PowerTable::Build(const bignum::MontgomeryContext& mont,
+                                          const uint64_t* base,
+                                          uint64_t count) {
+  k_ = mont.limb_count();
+  values_.resize(count * k_);
+  bignum::MontgomeryContext::Scratch scratch(mont);
+  std::copy(mont.One().begin(), mont.One().end(), values_.begin());
+  for (uint64_t j = 1; j < count; ++j) {
+    mont.MontMulInto(values_.data() + (j - 1) * k_, base,
+                     values_.data() + j * k_, &scratch);
+  }
+  slots_.assign(std::bit_ceil(2 * count), 0);
+  for (uint64_t j = 0; j < count; ++j) {
+    size_t slot = Slot(Entry(j));
+    while (slots_[slot] != 0) slot = (slot + 1) & (slots_.size() - 1);
+    slots_[slot] = static_cast<uint32_t>(j + 1);
+  }
+}
+
+size_t BenalohPrivateKey::PowerTable::Slot(const uint64_t* v) const {
+  // Montgomery limbs of distinct residues are spread evenly; a Fibonacci
+  // multiply folds the low limb's high bits into the slot index anyway.
+  return static_cast<size_t>((v[0] * 0x9E3779B97F4A7C15ULL) >> 32) &
+         (slots_.size() - 1);
+}
+
+bool BenalohPrivateKey::PowerTable::Find(const uint64_t* v,
+                                         uint64_t* j) const {
+  for (size_t slot = Slot(v); slots_[slot] != 0;
+       slot = (slot + 1) & (slots_.size() - 1)) {
+    const uint64_t cand = slots_[slot] - 1;
+    if (std::equal(v, v + k_, Entry(cand))) {
+      *j = cand;
+      return true;
+    }
+  }
+  return false;
+}
+
+namespace {
+
+// Per-thread decryption buffers, grown to the widest prime seen on the
+// thread, so steady-state decryption allocates nothing.
+struct DecryptWorkspace {
+  std::unique_ptr<bignum::MontgomeryContext::Scratch> scratch;
+  std::vector<uint64_t> limbs;  // three k-limb residues
+};
+
+DecryptWorkspace& LocalWorkspace(const bignum::MontgomeryContext& widest) {
+  thread_local DecryptWorkspace ws;
+  const size_t k = widest.limb_count();
+  if (ws.scratch == nullptr || ws.scratch->limb_count() < k) {
+    ws.scratch = std::make_unique<bignum::MontgomeryContext::Scratch>(widest);
+    ws.limbs.assign(3 * k, 0);
+  }
+  return ws;
+}
+
+bool AllZero(const uint64_t* v, size_t k) {
+  return std::all_of(v, v + k, [](uint64_t limb) { return limb == 0; });
+}
+
+}  // namespace
 
 Result<uint64_t> BenalohPrivateKey::Decrypt(const BenalohCiphertext& c) const {
   return DecryptWith(c, BenalohDecryptMode::kAuto);
@@ -298,64 +401,116 @@ Result<uint64_t> BenalohPrivateKey::DecryptWith(
   if (c.value.IsZero() || c.value >= n_) {
     return Status::CryptoError("ciphertext outside Z*_n");
   }
-  if (mode == BenalohDecryptMode::kAuto) {
-    mode = three_k_ > 0 ? BenalohDecryptMode::kPowerOfThreeDigits
-                        : BenalohDecryptMode::kBabyStepGiantStep;
-  }
   if (mode == BenalohDecryptMode::kPowerOfThreeDigits && three_k_ == 0) {
     return Status::InvalidArgument("r is not a power of three");
   }
+  const bignum::MontgomeryContext& m1 = *mont_p1_;
+  const bignum::MontgomeryContext& m2 = *mont_p2_;
+  DecryptWorkspace& ws =
+      LocalWorkspace(m1.limb_count() >= m2.limb_count() ? m1 : m2);
+  const size_t stride = ws.scratch->limb_count();
+  uint64_t* a = ws.limbs.data();
+  uint64_t* t0 = a + stride;
+  uint64_t* t1 = t0 + stride;
+  bignum::MontgomeryContext::Scratch* scratch = ws.scratch.get();
 
-  // a = c^{phi/r} = x^m (mod n).
-  BigInt a = mont_->ModExp(c.value, phi_over_r_);
-
-  if (mode == BenalohDecryptMode::kBabyStepGiantStep) {
-    // Find m = i*t + j with x^{m} = a  =>  a * (x^{-t})^i = x^j.
-    BigInt gamma = a;
-    for (uint64_t i = 0; i * bsgs_t_ < r_ + bsgs_t_; ++i) {
-      auto it = baby_.find(gamma.ToHexString());
-      if (it != baby_.end()) {
-        uint64_t m = i * bsgs_t_ + it->second;
-        if (m < r_) return m;
-      }
-      gamma = mont_->Mul(gamma, giant_);
-    }
-    return Status::CryptoError("BSGS discrete log not found (invalid ciphertext)");
+  // Only non-units are invalid; the mod-p1 exponentiation alone would
+  // silently decode a multiple of p2.
+  m2.ToMontgomeryInto(c.value, t0, scratch);
+  if (AllZero(t0, m2.limb_count())) {
+    return Status::CryptoError("ciphertext not a unit (multiple of p2)");
   }
+  m1.ToMontgomeryInto(c.value, t0, scratch);
+  if (AllZero(t0, m1.limb_count())) {
+    return Status::CryptoError("ciphertext not a unit (multiple of p1)");
+  }
+  // a = (c mod p1)^{(p1-1)/r} = y^m (mod p1).
+  m1.ModExpInto(t0, exponent_, a, scratch);
 
-  // Digit-by-digit base-3 recovery: k modular exponentiations (App. A.2).
-  const uint64_t k = three_k_;
-  // w = x^{3^{k-1}} has order 3; precompute w and w^2 for digit matching.
-  BigInt pow3_km1(1);
-  for (uint64_t i = 0; i + 1 < k; ++i) pow3_km1 = pow3_km1 * BigInt(3);
-  BigInt w = mont_->ModExp(x_, pow3_km1);
-  BigInt w2 = mont_->Mul(w, w);
+  switch (mode) {
+    case BenalohDecryptMode::kBabyStepGiantStep:
+      return LogBsgs(a, scratch);
+    case BenalohDecryptMode::kPowerOfThreeDigits:
+      return LogDigits(a, t0, t1, scratch);
+    case BenalohDecryptMode::kAuto:
+      break;
+  }
+  return three_k_ > 0 ? LogSplit(a, t0, t1, scratch) : LogBsgs(a, scratch);
+}
 
+// The failure returns below are unreachable for units: every unit's a lies
+// in the order-r subgroup <y>, where each procedure always succeeds.
+
+Result<uint64_t> BenalohPrivateKey::LogBsgs(
+    uint64_t* a, bignum::MontgomeryContext::Scratch* scratch) const {
+  // m = i*t + j with a * (y^{-t})^i = y^j.
+  for (uint64_t i = 0; i * bsgs_t_ < r_; ++i) {
+    uint64_t j;
+    if (baby_.Find(a, &j)) return i * bsgs_t_ + j;
+    mont_p1_->MontMulInto(a, giant_.data(), a, scratch);
+  }
+  return Status::CryptoError("BSGS: value outside the order-r subgroup");
+}
+
+Result<uint64_t> BenalohPrivateKey::LogDigits(
+    uint64_t* a, uint64_t* t0, uint64_t* t1,
+    bignum::MontgomeryContext::Scratch* scratch) const {
+  // Digit-by-digit base-3 recovery (App. A.2): a is the residual
+  // y^{m - recovered digits}, and residual^{3^{k-1-i}} is w^{digit i}.
+  const bignum::MontgomeryContext& m1 = *mont_p1_;
+  const size_t k1 = m1.limb_count();
+  const uint64_t* one = m1.One().data();
   uint64_t m = 0;
-  uint64_t pow3_i = 1;   // 3^i
-  BigInt residual = a;   // x^{m - (recovered digits)}
-  BigInt exp = pow3_km1; // 3^{k-1-i}
-  for (uint64_t i = 0; i < k; ++i) {
-    BigInt probe = mont_->ModExp(residual, exp);
+  uint64_t pow3_i = 1;
+  for (uint64_t i = 0; i < three_k_; ++i) {
+    std::copy(a, a + k1, t0);
+    for (uint64_t e = i + 1; e < three_k_; ++e) {
+      m1.MontMulInto(t0, t0, t1, scratch);
+      m1.MontMulInto(t1, t0, t0, scratch);
+    }
     uint64_t digit;
-    if (probe.IsOne()) {
+    if (std::equal(t0, t0 + k1, one)) {
       digit = 0;
-    } else if (probe == w) {
+    } else if (std::equal(t0, t0 + k1, w_.data())) {
       digit = 1;
-    } else if (probe == w2) {
+    } else if (std::equal(t0, t0 + k1, w2_.data())) {
       digit = 2;
     } else {
-      return Status::CryptoError("digit recovery failed (invalid ciphertext)");
+      return Status::CryptoError(
+          "digit recovery: value outside the order-r subgroup");
     }
     if (digit != 0) {
       m += digit * pow3_i;
-      BigInt strip = mont_->ModExp(x_inv_, BigInt(digit * pow3_i));
-      residual = mont_->Mul(residual, strip);
+      m1.MontMulInto(a, strips_.data() + (2 * i + digit - 1) * k1, a,
+                     scratch);
     }
     pow3_i *= 3;
-    exp = exp / BigInt(3);
   }
   return m;
+}
+
+Result<uint64_t> BenalohPrivateKey::LogSplit(
+    uint64_t* a, uint64_t* t0, uint64_t* t1,
+    bignum::MontgomeryContext::Scratch* scratch) const {
+  // m = m0 + t*m1: a^s = (y^s)^{m0}, then a * y^{-m0} = (y^s)^{(t/s) m1}.
+  const bignum::MontgomeryContext& m1 = *mont_p1_;
+  const size_t k1 = m1.limb_count();
+  std::copy(a, a + k1, t0);
+  for (uint64_t i = 0; i < split_cubes_; ++i) {
+    m1.MontMulInto(t0, t0, t1, scratch);
+    m1.MontMulInto(t1, t0, t0, scratch);
+  }
+  uint64_t low;
+  uint64_t high;
+  if (!split_.Find(t0, &low)) {
+    return Status::CryptoError("split: value outside the order-r subgroup");
+  }
+  m1.MontMulInto(a, inverse_.data() + low * k1, a, scratch);
+  const uint64_t ratio = split_t_ * split_t_ / r_;  // t / s, 1 or 3
+  if (!split_.Find(a, &high) || high % ratio != 0) {
+    return Status::CryptoError("split: value outside the order-r subgroup");
+  }
+  return low + split_t_ * (high / ratio);
 }
 
 }  // namespace embellish::crypto

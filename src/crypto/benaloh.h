@@ -12,9 +12,38 @@
 //   E(m1) * E(m2) = E(m1 + m2 mod r) (additively homomorphic)
 //   E(m)^s = E(m * s mod r)          (scalar multiplication)
 //
-// Two decryption procedures are provided, as in the paper's Appendix A.2:
-// baby-step/giant-step in O(sqrt(r)) for arbitrary r, and the digit-by-digit
-// procedure needing only k modular exponentiations when r = 3^k.
+// DECRYPTION IN THE ORDER-r SUBGROUP MOD p1. Since gcd(r, p2 - 1) = 1, the
+// whole order-r part of Z*_n lives mod p1. For c = g^m u^r,
+//   a = (c mod p1)^{(p1-1)/r} = y^m (mod p1),   y = g^{(p1-1)/r} mod p1,
+// because u^{p1-1} = 1 (mod p1). y has order exactly r: g^{phi/q} is always
+// 1 mod p2, so keygen's check g^{phi/q} != 1 (mod n) says g^{phi/q} != 1
+// mod p1, i.e. y^{(p2-1)r/q} != 1, and p2 - 1 is a unit mod r. The textbook
+// full-width a' = c^{phi/r} mod n is a' = a^{p2-1} mod p1 (and 1 mod p2), so
+// both recover the same m. Decryption is therefore one exponentiation mod
+// the half-width p1 with the ~half-length exponent (p1-1)/r, then a
+// discrete log base y, both on the allocation-free Montgomery tier with
+// per-thread scratch — nothing is allocated per ciphertext.
+//
+// The discrete log runs on tables built once in BenalohKeyPair::Generate
+// (the only way to obtain a key) and keyed by Montgomery limbs; they hold
+// a few hundred residues of p1's width (~16 KiB with their hash slots for a
+// 256-bit key with r = 3^10, ~50 KiB at 1024 bits). Per decryption, beyond
+// the exponentiation (~|p1| squarings):
+//  - kAuto with r = 3^k: a two-level split m = m0 + t*m1, t = 3^ceil(k/2),
+//    s = r/t. a^s = (y^s)^{m0} looks m0 up in the t-entry table of (y^s)^j,
+//    and a*y^{-m0} = (y^s)^{(t/s)m1} looks m1 up in the same table:
+//    floor(k/2) cubings, one multiplication and two lookups.
+//  - kPowerOfThreeDigits (the Appendix A.2 procedure, r = 3^k): digit i is
+//    read off residual^{3^{k-1-i}} against the precomputed w = y^{3^{k-1}}
+//    and w^2, then stripped with a precomputed y^{-d*3^i}: k(k-1)/2 cubings.
+//  - kBabyStepGiantStep (any r): baby table y^j for j < t = ceil(sqrt(r)),
+//    giant steps by y^{-t}: up to sqrt(r) multiplications and lookups.
+//
+// ERRORS. Benaloh has no ciphertext integrity: every unit of Z*_n decrypts
+// to some message (a tampered ciphertext c*v decodes to m + log(v)), and
+// only non-units are rejected. Decryption returns CryptoError for c = 0,
+// c >= n, and c = 0 mod p1 or mod p2; the p2 case is checked explicitly
+// because the mod-p1 path alone would not see it.
 //
 // NOTE ON RANDOMNESS: protocol nonces are drawn from the deterministic Rng so
 // experiments are reproducible. A production deployment would substitute a
@@ -25,7 +54,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "bignum/bigint.h"
@@ -49,8 +77,8 @@ struct BenalohKeyOptions {
   /// exercising multi-limb arithmetic; production would use >= 2048.
   size_t key_bits = 512;
 
-  /// Message-space size r. The default 3^10 = 59049 admits the optimized
-  /// k-exponentiation decryption and comfortably bounds the discretized
+  /// Message-space size r. The default 3^10 = 59049 admits the power-of-
+  /// three decryption tables and comfortably bounds the discretized
   /// relevance scores accumulated by Algorithm 4.
   uint64_t r = 59049;
 
@@ -101,7 +129,10 @@ class BenalohPublicKey {
   std::shared_ptr<bignum::MontgomeryContext> mont_;
 };
 
-/// \brief Decryption strategy; kAuto picks k-exponentiation when r = 3^k.
+/// \brief Decryption strategy. kAuto takes the two-level table split when
+///        r = 3^k and baby-step/giant-step otherwise; the other two force a
+///        procedure (for the decryption ablation). All three return the same
+///        message for every ciphertext.
 enum class BenalohDecryptMode {
   kAuto,
   kBabyStepGiantStep,
@@ -109,12 +140,14 @@ enum class BenalohDecryptMode {
 };
 
 /// \brief Private key: factorization plus precomputed decryption tables.
+///        Thread-safe: decryption only reads the key.
 class BenalohPrivateKey {
  public:
   /// \brief Decrypts; returns the message in [0, r).
   Result<uint64_t> Decrypt(const BenalohCiphertext& c) const;
 
   /// \brief Decrypts with an explicit strategy (for the decryption ablation).
+  ///        kPowerOfThreeDigits needs r = 3^k (InvalidArgument otherwise).
   Result<uint64_t> DecryptWith(const BenalohCiphertext& c,
                                BenalohDecryptMode mode) const;
 
@@ -124,21 +157,59 @@ class BenalohPrivateKey {
  private:
   friend class BenalohKeyPair;
 
+  /// Powers base^j (j < count) in Montgomery form, indexed back from their
+  /// limbs to j: open addressing on the low limb, full compare on a hit.
+  class PowerTable {
+   public:
+    void Build(const bignum::MontgomeryContext& mont, const uint64_t* base,
+               uint64_t count);
+    /// Sets *j to the exponent with base^j == v; false if v is absent.
+    bool Find(const uint64_t* v, uint64_t* j) const;
+
+   private:
+    const uint64_t* Entry(uint64_t j) const { return values_.data() + j * k_; }
+    size_t Slot(const uint64_t* v) const;
+
+    size_t k_ = 0;
+    std::vector<uint64_t> values_;  // count * k limbs
+    std::vector<uint32_t> slots_;   // j + 1, 0 = empty; power-of-two size
+  };
+
+  // Discrete logs base y of a = y^m (Montgomery form, overwritten); `t0`
+  // and `t1` are k-limb temporaries.
+  Result<uint64_t> LogBsgs(uint64_t* a,
+                           bignum::MontgomeryContext::Scratch* scratch) const;
+  Result<uint64_t> LogDigits(uint64_t* a, uint64_t* t0, uint64_t* t1,
+                             bignum::MontgomeryContext::Scratch* scratch) const;
+  Result<uint64_t> LogSplit(uint64_t* a, uint64_t* t0, uint64_t* t1,
+                            bignum::MontgomeryContext::Scratch* scratch) const;
+
   bignum::BigInt p1_;
   bignum::BigInt p2_;
   bignum::BigInt n_;
-  bignum::BigInt phi_;
-  bignum::BigInt phi_over_r_;
-  bignum::BigInt x_;       // g^{phi/r} mod n; generator of the order-r group
-  bignum::BigInt x_inv_;   // x^{-1} mod n
+  bignum::BigInt exponent_;  // (p1 - 1) / r
   uint64_t r_ = 0;
-  uint64_t three_k_ = 0;   // k when r == 3^k, else 0
+  uint64_t three_k_ = 0;     // k when r == 3^k, else 0
+  std::shared_ptr<bignum::MontgomeryContext> mont_p1_;
+  std::shared_ptr<bignum::MontgomeryContext> mont_p2_;
 
-  // BSGS tables: baby[x^j] = j for j < t; giant_ = x^{-t}.
+  // Baby-step/giant-step: baby_ = {y^j : j < bsgs_t_}, giant_ = y^{-t}.
   uint64_t bsgs_t_ = 0;
-  std::unordered_map<std::string, uint64_t> baby_;
-  bignum::BigInt giant_;
-  std::shared_ptr<bignum::MontgomeryContext> mont_;
+  PowerTable baby_;
+  std::vector<uint64_t> giant_;
+
+  // Appendix A.2 digits (r = 3^k): w = y^{3^{k-1}}, w^2, and
+  // strips_[(2i + d - 1) * k1] = y^{-d * 3^i} for d in {1, 2}, i < k.
+  std::vector<uint64_t> w_;
+  std::vector<uint64_t> w2_;
+  std::vector<uint64_t> strips_;
+
+  // Two-level split (r = 3^k): t = 3^ceil(k/2), s = r / t = 3^split_cubes_;
+  // split_ = {(y^s)^j : j < t}, inverse_ = {y^{-j} : j < t}.
+  uint64_t split_t_ = 0;
+  uint64_t split_cubes_ = 0;
+  PowerTable split_;
+  std::vector<uint64_t> inverse_;
 };
 
 /// \brief A generated keypair.

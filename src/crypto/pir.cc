@@ -87,8 +87,6 @@ Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
     client.p2_ = bignum::RandomPrime(key_bits - half, rng);
   } while (client.p2_ == client.p1_);
   client.n_ = client.p1_ * client.p2_;
-  client.p1_half_ = (client.p1_ - BigInt(1)) >> 1;
-  client.p2_half_ = (client.p2_ - BigInt(1)) >> 1;
   auto m1 = bignum::MontgomeryContext::Create(client.p1_);
   auto m2 = bignum::MontgomeryContext::Create(client.p2_);
   if (!m1.ok()) return m1.status();
@@ -100,12 +98,52 @@ Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
   return client;
 }
 
+namespace {
+
+// Legendre symbols (v|p1) and (v|p2) with no allocation per value. v enters
+// each prime's Montgomery context through the wide Horner reduction, and the
+// binary Jacobi runs on that Montgomery form vR mod p directly: R = 2^{64k}
+// is a square, so (vR|p) = (v|p). One tester serves a whole query or
+// response; it is not thread-safe.
+class LegendreTester {
+ public:
+  LegendreTester(const bignum::MontgomeryContext& m1,
+                 const bignum::MontgomeryContext& m2)
+      : m1_(m1),
+        m2_(m2),
+        scratch_(m1.limb_count() >= m2.limb_count() ? m1 : m2),
+        a_(scratch_.limb_count()),
+        n_(scratch_.limb_count()) {}
+
+  int Mod1(const BigInt& v) { return Symbol(m1_, v); }
+  int Mod2(const BigInt& v) { return Symbol(m2_, v); }
+
+  // QR mod n iff (v|p1) = (v|p2) = +1. A symbol of 0 (v not a unit) means
+  // "not QR", exactly as Euler's criterion v^{(p-1)/2} = 0 != 1 did.
+  bool IsQuadraticResidue(const BigInt& v) {
+    return Mod1(v) == 1 && Mod2(v) == 1;
+  }
+
+ private:
+  int Symbol(const bignum::MontgomeryContext& mont, const BigInt& v) {
+    const size_t k = mont.limb_count();
+    mont.ToMontgomeryInto(v, a_.data(), &scratch_);
+    const std::vector<uint64_t>& p = mont.modulus().limbs();
+    std::copy(p.begin(), p.end(), n_.begin());
+    return bignum::JacobiLimbs(a_.data(), n_.data(), k);
+  }
+
+  const bignum::MontgomeryContext& m1_;
+  const bignum::MontgomeryContext& m2_;
+  bignum::MontgomeryContext::Scratch scratch_;
+  std::vector<uint64_t> a_;
+  std::vector<uint64_t> n_;
+};
+
+}  // namespace
+
 bool PirClient::IsQuadraticResidue(const BigInt& v) const {
-  // Euler's criterion modulo each prime factor.
-  BigInt e1 = mont_p1_->ModExp(v, p1_half_);
-  if (!e1.IsOne()) return false;
-  BigInt e2 = mont_p2_->ModExp(v, p2_half_);
-  return e2.IsOne();
+  return LegendreTester(*mont_p1_, *mont_p2_).IsQuadraticResidue(v);
 }
 
 Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
@@ -125,12 +163,11 @@ Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
     if (j == target_col) {
       // QNR with Jacobi symbol +1: non-residue modulo both prime factors,
       // so it is indistinguishable from a QR without the trapdoor.
+      LegendreTester legendre(*mont_p1_, *mont_p2_);
       while (true) {
         BigInt z = bignum::RandomUnit(n_, rng);
-        BigInt e1 = mont_p1_->ModExp(z, p1_half_);
-        if (e1.IsOne()) continue;  // QR mod p1
-        BigInt e2 = mont_p2_->ModExp(z, p2_half_);
-        if (e2.IsOne()) continue;  // QR mod p2
+        if (legendre.Mod1(z) == 1) continue;  // QR mod p1
+        if (legendre.Mod2(z) == 1) continue;  // QR mod p2
         query.q.push_back(std::move(z));
         break;
       }
@@ -145,13 +182,15 @@ Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
 
 Result<std::vector<bool>> PirClient::DecodeResponse(
     const PirResponse& response) const {
+  LegendreTester legendre(*mont_p1_, *mont_p2_);
   std::vector<bool> bits;
   bits.reserve(response.gamma.size());
   for (const BigInt& g : response.gamma) {
     if (g.IsZero() || g >= n_) {
       return Status::Corruption("PIR response value outside Z*_n");
     }
-    bits.push_back(!IsQuadraticResidue(g));  // QR => bit 0, QNR => bit 1
+    // QR => bit 0, QNR => bit 1.
+    bits.push_back(!legendre.IsQuadraticResidue(g));
   }
   return bits;
 }

@@ -8,7 +8,8 @@
 // q_j are quadratic residues. For every row i the server returns
 //   gamma_i = prod_j v_ij,  v_ij = q_j^2 if b_ij = 0 else q_j.
 // gamma_i is a QR iff b_iy = 0, which the user tests with the factorization
-// of n. One protocol execution therefore retrieves one whole column — in the
+// of n: gamma_i is a QR iff its Legendre symbols mod p1 and mod p2 are both
+// +1. One protocol execution therefore retrieves one whole column — in the
 // paper's usage, one term's padded inverted list out of a bucket.
 
 #ifndef EMBELLISH_CRYPTO_PIR_H_
@@ -90,13 +91,20 @@ class PirClient {
   /// \brief Builds a query for column `target_col` of a `cols`-wide database.
   Result<PirQuery> BuildQuery(size_t target_col, size_t cols, Rng* rng) const;
 
-  /// \brief Decodes the response into the target column's bits.
+  /// \brief Decodes the response into the target column's bits: row i's
+  ///        bit is 0 iff gamma_i is a QR mod n, i.e. iff the Legendre symbols
+  ///        (gamma_i|p1) and (gamma_i|p2) are both +1. The symbols come from
+  ///        a division-free binary Jacobi on fixed-width limbs
+  ///        (bignum::JacobiLimbs); nothing is allocated per row.
   Result<std::vector<bool>> DecodeResponse(const PirResponse& response) const;
 
   size_t key_bytes() const { return (n_.BitLength() + 7) / 8; }
   const bignum::BigInt& n() const { return n_; }
+  const bignum::BigInt& p1() const { return p1_; }
+  const bignum::BigInt& p2() const { return p2_; }
 
-  /// \brief True iff `v` is a quadratic residue mod n (uses the trapdoor).
+  /// \brief True iff `v` is a quadratic residue mod n (uses the trapdoor):
+  ///        both Legendre symbols are +1. A non-unit (symbol 0) is not a QR.
   bool IsQuadraticResidue(const bignum::BigInt& v) const;
 
  private:
@@ -105,8 +113,6 @@ class PirClient {
   bignum::BigInt p1_;
   bignum::BigInt p2_;
   bignum::BigInt n_;
-  bignum::BigInt p1_half_;  // (p1-1)/2
-  bignum::BigInt p2_half_;  // (p2-1)/2
   std::shared_ptr<bignum::MontgomeryContext> mont_p1_;
   std::shared_ptr<bignum::MontgomeryContext> mont_p2_;
 };

@@ -113,6 +113,34 @@ TEST(JacobiTest, MatchesEulerCriterionForPrimes) {
   }
 }
 
+TEST(JacobiTest, MatchesEulerCriterionAt1024Bits) {
+  // A 1024-bit prime (the PIR client's factor width at 2048-bit keys) and a
+  // 1024-bit product of two primes, whose symbol is the product of the
+  // factors' Legendre symbols. Operands are drawn up to twice the modulus
+  // width, so the limb routine also reduces.
+  Rng rng(110);
+  const BigInt p = RandomPrime(1024, &rng);
+  const BigInt half = (p - BigInt(1)) >> 1;
+  const BigInt q1 = RandomPrime(512, &rng);
+  const BigInt q2 = RandomPrime(512, &rng);
+  const BigInt n = q1 * q2;
+  const auto legendre = [](const BigInt& a, const BigInt& prime) {
+    const BigInt e = ModExp(a, (prime - BigInt(1)) >> 1, prime);
+    return e.IsOne() ? 1 : (e.IsZero() ? 0 : -1);
+  };
+  for (int i = 0; i < 40; ++i) {
+    const BigInt a = RandomBits(1 + rng.Uniform(2048), &rng);
+    EXPECT_EQ(Jacobi(a, p), legendre(a, p));
+    EXPECT_EQ(Jacobi(a, n), legendre(a, q1) * legendre(a, q2));
+  }
+  EXPECT_EQ(Jacobi(p * BigInt(3), p), 0);
+  EXPECT_EQ(Jacobi(q1 * BigInt(5), n), 0);
+  EXPECT_EQ(Jacobi(BigInt(0), p), 0);
+  EXPECT_EQ(Jacobi(BigInt(1), p), 1);
+  EXPECT_EQ(Jacobi(p - BigInt(1), p), legendre(p - BigInt(1), p));
+  EXPECT_EQ(Jacobi(half, p), legendre(half, p));
+}
+
 TEST(JacobiTest, KnownSmallTable) {
   // (a/15) for a = 1..14: standard table.
   const int expected[] = {1, 1, 0, 1, 0, 0, -1, 1, 0, 0, -1, 0, -1, -1};

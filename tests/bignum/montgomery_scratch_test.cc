@@ -132,10 +132,33 @@ TEST_F(MontgomeryScratchTest, ToMontgomeryIntoMatchesValueApi) {
     ctx_->ToMontgomeryInto(v, out.data(), &scratch);
     EXPECT_EQ(ctx_->FromMontgomery(out), v % modulus_);
   }
-  // Wider than the modulus: takes the allocating pre-reduction path.
-  const BigInt wide = a_ * modulus_ + b_;
-  ctx_->ToMontgomeryInto(wide, out.data(), &scratch);
-  EXPECT_EQ(out, ctx_->ToMontgomery(wide));
+  // Wider than the modulus: the Horner chunk reduction, two and three chunks
+  // wide, with full and partial top chunks.
+  for (const BigInt& wide :
+       {a_ * modulus_ + b_, a_ * b_, a_ * b_ * e_, a_ * a_ * BigInt(3),
+        modulus_ * modulus_, BigInt::PowerOfTwo(64 * k) + BigInt(7)}) {
+    ctx_->ToMontgomeryInto(wide, out.data(), &scratch);
+    EXPECT_EQ(out, ctx_->ToMontgomery(wide));
+    EXPECT_EQ(ctx_->FromMontgomery(out), wide % modulus_);
+  }
+}
+
+TEST(MontgomeryWideReductionTest, MatchesDivisionAtEveryKernelWidth) {
+  // k = 1..8 covers the fixed-width kernels (2, 3, 4, 6, 8), the ADX path
+  // (4) and the generic CIOS loop (1, 5, 7), with inputs up to 3k limbs.
+  Rng rng(31);
+  for (size_t k = 1; k <= 8; ++k) {
+    const BigInt p = RandomPrime(64 * k - 1, &rng);
+    auto ctx = MontgomeryContext::Create(p);
+    ASSERT_TRUE(ctx.ok());
+    MontgomeryContext::Scratch scratch(*ctx);
+    std::vector<uint64_t> out(k);
+    for (int trial = 0; trial < 30; ++trial) {
+      const BigInt v = RandomBits(1 + rng.Uniform(3 * 64 * k), &rng);
+      ctx->ToMontgomeryInto(v, out.data(), &scratch);
+      EXPECT_EQ(ctx->FromMontgomery(out), v % p) << "k=" << k;
+    }
+  }
 }
 
 TEST_F(MontgomeryScratchTest, SteadyStateIsAllocationFree) {
@@ -146,6 +169,7 @@ TEST_F(MontgomeryScratchTest, SteadyStateIsAllocationFree) {
   std::vector<uint64_t> acc(k);
   std::vector<uint64_t> plain(k);
   const BigInt exponent = e_;
+  const BigInt wide = a_ * b_ * e_;  // three chunks of k limbs
 
   // Warm-up sizes the lazily-grown exponentiation buffers.
   ctx_->ModExpInto(am.data(), exponent, acc.data(), &scratch);
@@ -156,6 +180,7 @@ TEST_F(MontgomeryScratchTest, SteadyStateIsAllocationFree) {
                       &scratch);
   }
   ctx_->ToMontgomeryInto(b_, plain.data(), &scratch);
+  ctx_->ToMontgomeryInto(wide, plain.data(), &scratch);
   ctx_->ModExpInto(am.data(), exponent, acc.data(), &scratch);
   ctx_->FromMontgomeryInto(acc.data(), plain.data(), &scratch);
   const uint64_t after = g_alloc_count.load(std::memory_order_relaxed);

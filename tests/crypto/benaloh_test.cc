@@ -2,10 +2,91 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <thread>
+#include <unordered_map>
+
 #include "bignum/modmath.h"
 
 namespace embellish::crypto {
 namespace {
+
+using bignum::BigInt;
+
+// The textbook full-width decryption, kept as the test oracle for the
+// subgroup-mod-p1 path: a = c^{phi/r} mod n = x^m with x = g^{phi/r} mod n,
+// then either the Appendix A.2 digit procedure or baby-step/giant-step over
+// x with hex-keyed tables, all on allocating value arithmetic mod n.
+Result<uint64_t> ReferenceDecrypt(const BenalohPublicKey& pk,
+                                  const BenalohPrivateKey& sk,
+                                  const BenalohCiphertext& c, bool digits) {
+  const BigInt& n = pk.n();
+  const uint64_t r = pk.r();
+  if (c.value.IsZero() || c.value >= n) {
+    return Status::CryptoError("ciphertext outside Z*_n");
+  }
+  const uint64_t k = ExactPowerOfThree(r);
+  if (digits && k == 0) {
+    return Status::InvalidArgument("r is not a power of three");
+  }
+  const BigInt phi_over_r =
+      (sk.p1() - BigInt(1)) * (sk.p2() - BigInt(1)) / BigInt(r);
+  const BigInt x = bignum::ModExp(pk.g(), phi_over_r, n);
+  EMB_ASSIGN_OR_RETURN(BigInt x_inv, bignum::ModInverse(x, n));
+  const BigInt a = bignum::ModExp(c.value, phi_over_r, n);
+
+  if (!digits) {
+    const auto t = static_cast<uint64_t>(
+        std::ceil(std::sqrt(static_cast<double>(r))));
+    std::unordered_map<std::string, uint64_t> baby;
+    BigInt cur(1);
+    for (uint64_t j = 0; j < t; ++j) {
+      baby.emplace(cur.ToHexString(), j);
+      cur = cur * x % n;
+    }
+    const BigInt giant = bignum::ModExp(x_inv, BigInt(t), n);
+    BigInt gamma = a;
+    for (uint64_t i = 0; i * t < r + t; ++i) {
+      auto it = baby.find(gamma.ToHexString());
+      if (it != baby.end() && i * t + it->second < r) {
+        return i * t + it->second;
+      }
+      gamma = gamma * giant % n;
+    }
+    return Status::CryptoError("BSGS discrete log not found");
+  }
+
+  BigInt pow3_km1(1);
+  for (uint64_t i = 0; i + 1 < k; ++i) pow3_km1 = pow3_km1 * BigInt(3);
+  const BigInt w = bignum::ModExp(x, pow3_km1, n);
+  const BigInt w2 = w * w % n;
+  uint64_t m = 0;
+  uint64_t pow3_i = 1;
+  BigInt residual = a;
+  BigInt exp = pow3_km1;
+  for (uint64_t i = 0; i < k; ++i) {
+    const BigInt probe = bignum::ModExp(residual, exp, n);
+    uint64_t digit;
+    if (probe.IsOne()) {
+      digit = 0;
+    } else if (probe == w) {
+      digit = 1;
+    } else if (probe == w2) {
+      digit = 2;
+    } else {
+      return Status::CryptoError("digit recovery failed");
+    }
+    if (digit != 0) {
+      m += digit * pow3_i;
+      residual =
+          residual * bignum::ModExp(x_inv, BigInt(digit * pow3_i), n) % n;
+    }
+    pow3_i *= 3;
+    exp = exp / BigInt(3);
+  }
+  return m;
+}
 
 BenalohKeyPair MakeKeys(uint64_t r, size_t bits = 256, uint64_t seed = 1) {
   Rng rng(seed);
@@ -199,23 +280,64 @@ TEST(BenalohTest, DecryptRejectsOutOfRangeCiphertext) {
   EXPECT_FALSE(kp.private_key().Decrypt(big).ok());
 }
 
-TEST(BenalohTest, TamperedCiphertextFailsOrDecodesDifferently) {
-  // Multiplying by a random unit not of the form g^m u^r lands outside the
-  // message coset with overwhelming probability; digit recovery reports it.
+TEST(BenalohTest, TamperedCiphertextDecodesHomomorphically) {
+  // Benaloh has no ciphertext integrity: every unit of Z*_n decrypts, so
+  // multiplying by the unit 2 shifts the message by Decrypt(2) instead of
+  // failing.
   auto kp = MakeKeys(729);
   Rng rng(12);
-  auto c = kp.public_key().Encrypt(5, &rng);
-  BenalohCiphertext tampered{c->value * bignum::BigInt(2) %
-                             kp.public_key().n()};
-  auto d = kp.private_key().Decrypt(tampered);
-  if (d.ok()) {
-    // 2 may accidentally be a valid encryption of some m'; it must at least
-    // not silently decode the original message with certainty... but the
-    // overwhelmingly likely case is failure:
-    SUCCEED();
-  } else {
-    EXPECT_TRUE(d.status().IsCryptoError());
+  for (uint64_t m : {0ULL, 5ULL, 728ULL}) {
+    auto c = kp.public_key().Encrypt(m, &rng);
+    ASSERT_TRUE(c.ok());
+    BenalohCiphertext tampered{c->value * BigInt(2) % kp.public_key().n()};
+    auto shift = kp.private_key().Decrypt(BenalohCiphertext{BigInt(2)});
+    auto d = kp.private_key().Decrypt(tampered);
+    ASSERT_TRUE(shift.ok());
+    ASSERT_TRUE(d.ok());
+    EXPECT_EQ(*d, (m + *shift) % 729);
   }
+}
+
+TEST(BenalohTest, DecryptRejectsNonUnits) {
+  auto kp = MakeKeys(729);
+  const BigInt& p1 = kp.private_key().p1();
+  const BigInt& p2 = kp.private_key().p2();
+  for (const BigInt& v : {p1, p1 * BigInt(2), p1 * (p2 - BigInt(1)), p2,
+                          p2 * BigInt(3), p2 * (p1 - BigInt(1))}) {
+    for (auto mode : {BenalohDecryptMode::kAuto,
+                      BenalohDecryptMode::kBabyStepGiantStep,
+                      BenalohDecryptMode::kPowerOfThreeDigits}) {
+      auto d = kp.private_key().DecryptWith(BenalohCiphertext{v}, mode);
+      ASSERT_FALSE(d.ok());
+      EXPECT_TRUE(d.status().IsCryptoError()) << d.status().ToString();
+    }
+  }
+}
+
+TEST(BenalohTest, ConcurrentDecryptsShareOneKey) {
+  // Decryption reads the key's tables and works in per-thread scratch, so
+  // threads sharing one key must all decode every ciphertext.
+  auto kp = MakeKeys(59049);
+  Rng rng(13);
+  std::vector<BenalohCiphertext> cs;
+  for (uint64_t m = 0; m < 32; ++m) {
+    cs.push_back(*kp.public_key().Encrypt(m * 1847 % 59049, &rng));
+  }
+  std::vector<int> wrong(4, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < wrong.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const auto mode = static_cast<BenalohDecryptMode>(t % 3);
+      for (int round = 0; round < 4; ++round) {
+        for (uint64_t m = 0; m < cs.size(); ++m) {
+          auto d = kp.private_key().DecryptWith(cs[m], mode);
+          if (!d.ok() || *d != m * 1847 % 59049) ++wrong[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(wrong, std::vector<int>(4, 0));
 }
 
 TEST(BenalohTest, KeyGenerationDeterministicPerSeed) {
@@ -251,6 +373,77 @@ TEST_P(BenalohRSweepTest, RoundTripRandomMessages) {
 INSTANTIATE_TEST_SUITE_P(MessageSpaces, BenalohRSweepTest,
                          ::testing::Values(3, 27, 125, 729, 3125, 6561,
                                            59049, 121));
+
+// Every mode of the mod-p1 table path against the full-width reference:
+// encryptions of 0, 1, r-1 and random messages, random units of Z*_n (which
+// are not encryptions the key produced but decrypt all the same), and the
+// rejected inputs, whose status codes must match.
+class BenalohDifferentialTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, size_t>> {};
+
+TEST_P(BenalohDifferentialTest, MatchesFullWidthReference) {
+  const auto [r, bits] = GetParam();
+  auto kp = MakeKeys(r, bits, 500 + r + bits);
+  const BenalohPublicKey& pk = kp.public_key();
+  const BenalohPrivateKey& sk = kp.private_key();
+  const bool pow3 = ExactPowerOfThree(r) > 0;
+  Rng rng(600 + r + bits);
+
+  std::vector<BenalohCiphertext> inputs;
+  std::vector<uint64_t> messages = {0, 1, r - 1};
+  for (int i = 0; i < 4; ++i) messages.push_back(rng.Uniform(r));
+  for (uint64_t m : messages) {
+    auto c = pk.Encrypt(m, &rng);
+    ASSERT_TRUE(c.ok());
+    inputs.push_back(*c);
+    EXPECT_EQ(*sk.Decrypt(*c), m);
+  }
+  for (int i = 0; i < 3; ++i) {
+    inputs.push_back(BenalohCiphertext{bignum::RandomUnit(pk.n(), &rng)});
+  }
+  const BigInt& p1 = sk.p1();
+  const BigInt& p2 = sk.p2();
+  for (const BigInt& bad :
+       {BigInt(0), pk.n(), pk.n() + BigInt(1), pk.n() * BigInt(2), p1,
+        p1 * BigInt(5), p2, p2 * BigInt(7)}) {
+    inputs.push_back(BenalohCiphertext{bad});
+  }
+
+  for (const BenalohCiphertext& c : inputs) {
+    const auto bsgs_ref = ReferenceDecrypt(pk, sk, c, /*digits=*/false);
+    const auto digit_ref = ReferenceDecrypt(pk, sk, c, /*digits=*/true);
+    const auto expect_same = [&](const Result<uint64_t>& got,
+                                 const Result<uint64_t>& want,
+                                 const char* mode) {
+      ASSERT_EQ(got.ok(), want.ok())
+          << mode << " c=" << c.value.ToHexString() << " got "
+          << got.status().ToString() << " want " << want.status().ToString();
+      if (want.ok()) {
+        EXPECT_EQ(*got, *want) << mode << " c=" << c.value.ToHexString();
+      } else {
+        EXPECT_EQ(got.status().code(), want.status().code())
+            << mode << " c=" << c.value.ToHexString();
+      }
+    };
+    expect_same(sk.DecryptWith(c, BenalohDecryptMode::kBabyStepGiantStep),
+                bsgs_ref, "bsgs");
+    expect_same(sk.DecryptWith(c, BenalohDecryptMode::kPowerOfThreeDigits),
+                digit_ref, "digits");
+    expect_same(sk.Decrypt(c), pow3 ? digit_ref : bsgs_ref, "auto");
+    if (pow3 && digit_ref.ok()) EXPECT_EQ(*digit_ref, *bsgs_ref);
+  }
+}
+
+// r: 3^1, 3^6, 3^10 (the default), a prime, and an odd composite (even r is
+// rejected by BenalohKeyOptions::Validate, see BenalohOptionsTest).
+INSTANTIATE_TEST_SUITE_P(
+    KeysAndMessageSpaces, BenalohDifferentialTest,
+    ::testing::Combine(::testing::Values(3, 729, 59049, 4099, 1001),
+                       ::testing::Values(256, 512, 1024)),
+    [](const auto& info) {
+      return "r" + std::to_string(std::get<0>(info.param)) + "_bits" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace embellish::crypto

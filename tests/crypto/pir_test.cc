@@ -226,5 +226,101 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<size_t, size_t>{64, 2},
                       std::pair<size_t, size_t>{33, 7}));
 
+// Euler's criterion, the residuosity test the Legendre-symbol decode
+// replaced: v is a QR mod p iff v^{(p-1)/2} == 1 (mod p), so a multiple of p
+// (v^{(p-1)/2} == 0) counts as a non-residue.
+bool EulerQr(const BigInt& v, const BigInt& p) {
+  return bignum::ModExp(v, (p - BigInt(1)) >> 1, p).IsOne();
+}
+
+// The Euler-criterion query sampler BuildQuery used before, draw for draw.
+std::vector<BigInt> EulerQuery(const PirClient& client, size_t target,
+                               size_t cols, Rng* rng) {
+  std::vector<BigInt> q;
+  for (size_t j = 0; j < cols; ++j) {
+    if (j == target) {
+      while (true) {
+        BigInt z = bignum::RandomUnit(client.n(), rng);
+        if (EulerQr(z, client.p1())) continue;
+        if (EulerQr(z, client.p2())) continue;
+        q.push_back(std::move(z));
+        break;
+      }
+    } else {
+      BigInt w = bignum::RandomUnit(client.n(), rng);
+      q.push_back(bignum::ModMulReduced(w, w, client.n()));
+    }
+  }
+  return q;
+}
+
+class PirDecodeDifferentialTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(PirDecodeDifferentialTest, DecodeMatchesEulerOnEveryResidueClass) {
+  const size_t bits = GetParam();
+  Rng rng(700 + bits);
+  auto client = PirClient::Create(bits, &rng);
+  ASSERT_TRUE(client.ok());
+  const BigInt& n = client->n();
+  const BigInt& p1 = client->p1();
+  const BigInt& p2 = client->p2();
+
+  // Rows drawn until every (QR mod p1?, QR mod p2?) class has 6 members,
+  // plus multiples of p1 and of p2 (nonzero, below n: not units).
+  PirResponse response;
+  int classes[2][2] = {{0, 0}, {0, 0}};
+  while (classes[0][0] < 6 || classes[0][1] < 6 || classes[1][0] < 6 ||
+         classes[1][1] < 6) {
+    BigInt v = bignum::RandomUnit(n, &rng);
+    int& seen = classes[EulerQr(v, p1)][EulerQr(v, p2)];
+    if (seen < 6) {
+      ++seen;
+      response.gamma.push_back(std::move(v));
+    }
+  }
+  for (uint64_t m : {1ULL, 2ULL, 3ULL, 1000003ULL}) {
+    response.gamma.push_back(p1 * BigInt(m));
+    response.gamma.push_back(p2 * BigInt(m));
+  }
+  response.gamma.push_back(p1 * (p2 - BigInt(1)));
+  response.gamma.push_back(p2 * (p1 - BigInt(1)));
+
+  auto decoded = client->DecodeResponse(response);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->size(), response.gamma.size());
+  for (size_t i = 0; i < response.gamma.size(); ++i) {
+    const BigInt& v = response.gamma[i];
+    const bool qr = EulerQr(v, p1) && EulerQr(v, p2);
+    EXPECT_EQ((*decoded)[i], !qr) << "row " << i << " v=" << v.ToHexString();
+    EXPECT_EQ(client->IsQuadraticResidue(v), qr) << "row " << i;
+  }
+  // Unreduced and zero inputs to the public residuosity test.
+  EXPECT_EQ(client->IsQuadraticResidue(response.gamma[0] + n * BigInt(3)),
+            EulerQr(response.gamma[0], p1) && EulerQr(response.gamma[0], p2));
+  EXPECT_FALSE(client->IsQuadraticResidue(BigInt(0)));
+}
+
+TEST_P(PirDecodeDifferentialTest, BuildQueryMatchesEulerSampler) {
+  const size_t bits = GetParam();
+  Rng key_rng(800 + bits);
+  auto client = PirClient::Create(bits, &key_rng);
+  ASSERT_TRUE(client.ok());
+  for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
+    for (size_t target : {size_t{0}, size_t{4}, size_t{7}}) {
+      Rng a(seed);
+      Rng b(seed);
+      auto query = client->BuildQuery(target, 8, &a);
+      ASSERT_TRUE(query.ok());
+      EXPECT_EQ(query->q, EulerQuery(*client, target, 8, &b))
+          << "seed " << seed << " target " << target;
+      // Both samplers consumed the same draws.
+      EXPECT_EQ(a.Next64(), b.Next64());
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KeyWidths, PirDecodeDifferentialTest,
+                         ::testing::Values(128, 256, 512, 1024));
+
 }  // namespace
 }  // namespace embellish::crypto
