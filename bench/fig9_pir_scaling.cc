@@ -15,6 +15,7 @@
 //   EMBELLISH_BENCH_THREADS  max pool width, powers of 2 (default 8)
 //   EMBELLISH_BENCH_JSON     output path                 (default BENCH_pir.json)
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -141,16 +142,17 @@ crypto::PirResponse SeedStyleAnswer(const crypto::PirDatabase& db,
     q_mont[j] = mont.ToMontgomery(query.q[j]);
     q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
   }
-  crypto::PirResponse response;
-  response.gamma.reserve(db.rows());
+  std::vector<BigInt> gamma;
+  gamma.reserve(db.rows());
   for (size_t i = 0; i < db.rows(); ++i) {
     std::vector<uint64_t> acc = mont.One();
     for (size_t j = 0; j < cols; ++j) {
       acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
     }
-    response.gamma.push_back(mont.FromMontgomery(acc));
+    gamma.push_back(mont.FromMontgomery(acc));
   }
-  return response;
+  return crypto::PirResponse::FromValues(gamma,
+                                         (query.n.BitLength() + 7) / 8);
 }
 
 struct Measurement {
@@ -339,7 +341,7 @@ int main() {
         point.stats = stats;
       }
       for (size_t i = 0; i < q_width; ++i) {
-        if ((*batch)[i].gamma != serial[i].gamma) batch_identical = false;
+        if ((*batch)[i] != serial[i]) batch_identical = false;
       }
     }
     point.ops_per_query =
@@ -388,7 +390,9 @@ int main() {
   // run fails (exit 1) on any divergence — and the table reports per-tier
   // throughput plus the measured SIMD lane fill. Nonces are drawn serially
   // in message order from a reseeded Rng, so the EncryptBatch comparison is
-  // exact, not statistical.
+  // exact, not statistical. The PIR batch runs over at least 16 columns:
+  // the lanes only serve queries whose rows multiply (two or more column
+  // groups), so a narrower matrix would never reach them.
   struct KernelPoint {
     MontKernel kernel;
     double batch_ms = 1e300;    // AnswerBatch, Q = 8
@@ -400,10 +404,19 @@ int main() {
   };
   constexpr size_t kEncMsgs = 64;
   const size_t kernel_q = 8;
+  const size_t kernel_cols = std::max<size_t>(cols, 16);
+  auto kernel_db = std::make_shared<crypto::PirDatabase>(rows, kernel_cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < kernel_cols; ++j) {
+      kernel_db->SetBit(i, j, rng.Bernoulli(0.5));
+    }
+  }
+  crypto::PirServer kernel_server(kernel_db,
+                                  max_threads > 1 ? &batch_pool : nullptr);
   std::vector<crypto::PirQuery> kernel_queries;
   for (size_t i = 0; i < kernel_q; ++i) {
     auto bq = batch_clients[i % batch_clients.size()].BuildQuery(
-        i % cols, cols, &rng);
+        i % kernel_cols, kernel_cols, &rng);
     if (!bq.ok()) {
       std::fprintf(stderr, "kernel-sweep query build failed\n");
       return 1;
@@ -422,7 +435,7 @@ int main() {
 
   const MontKernel restore_kernel = SelectedKernel();
   std::vector<KernelPoint> kernel_points;
-  std::vector<std::vector<bignum::BigInt>> scalar_gammas;
+  std::vector<crypto::PirResponse> scalar_responses;
   std::vector<crypto::BenalohCiphertext> scalar_cts;
   bool kernels_identical = true;
   for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx,
@@ -436,7 +449,7 @@ int main() {
     for (size_t t = 0; t < trials; ++t) {
       crypto::PirBatchStats stats;
       Stopwatch sw;
-      auto batch = batch_server.AnswerBatch(
+      auto batch = kernel_server.AnswerBatch(
           std::span<const crypto::PirQuery>(kernel_queries), &stats);
       const double ms = sw.ElapsedMillis();
       if (!batch.ok()) {
@@ -471,11 +484,11 @@ int main() {
     point.enc_per_sec = OpsPerSec(kEncMsgs, point.enc_ms);
 
     if (kernel_points.empty()) {  // scalar tier: the reference outputs
-      for (const auto& resp : last_batch) scalar_gammas.push_back(resp.gamma);
+      scalar_responses = last_batch;
       scalar_cts = std::move(cts);
     } else {
       for (size_t i = 0; i < last_batch.size(); ++i) {
-        if (last_batch[i].gamma != scalar_gammas[i]) point.match = false;
+        if (last_batch[i] != scalar_responses[i]) point.match = false;
       }
       for (size_t i = 0; i < cts.size(); ++i) {
         if (!(cts[i] == scalar_cts[i])) point.match = false;
@@ -486,8 +499,10 @@ int main() {
   }
   SetKernelOverride(restore_kernel);
 
-  std::printf("\n== Montgomery kernel tiers (Q=%zu batch, %zu encrypts) ==\n",
-              kernel_q, kEncMsgs);
+  std::printf(
+      "\n== Montgomery kernel tiers (Q=%zu batch over %zu x %zu, %zu "
+      "encrypts) ==\n",
+      kernel_q, rows, kernel_cols, kEncMsgs);
   std::vector<std::vector<std::string>> kernel_rows;
   for (const KernelPoint& p : kernel_points) {
     kernel_rows.push_back(
@@ -522,11 +537,12 @@ int main() {
                "  \"rows\": %zu,\n"
                "  \"cols\": %zu,\n"
                "  \"modmuls_per_query\": %llu,\n"
+               "  \"kernel_cols\": %zu,\n"
                "  \"hardware_threads\": %u,\n"
                "  \"seed_serial\": {\"ms\": %.3f, \"mops_per_sec\": %.4f},\n"
                "  \"engine\": [\n",
                key_bits, rows, cols, static_cast<unsigned long long>(ops),
-               std::thread::hardware_concurrency(), seed_ms,
+               kernel_cols, std::thread::hardware_concurrency(), seed_ms,
                results[0].mops_per_sec);
   for (size_t i = 1; i < results.size(); ++i) {
     const Measurement& m = results[i];

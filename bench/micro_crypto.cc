@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the cryptographic primitives that
 // dominate the Section 5.2 costs: Benaloh encrypt/decrypt/scalar-mul,
-// Paillier encrypt/decrypt, PIR row products, and the bignum kernels.
+// Paillier encrypt/decrypt, PIR answers, queries and decoding, and the
+// bignum kernels.
 
 #include <benchmark/benchmark.h>
 
@@ -199,24 +200,73 @@ void BM_PaillierEncrypt(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierEncrypt);
 
-void BM_PirServerAnswer(benchmark::State& state) {
-  const size_t rows = static_cast<size_t>(state.range(0));
-  const size_t cols = 8;
-  auto db = std::make_shared<crypto::PirDatabase>(rows, cols);
-  Rng rng(11);
-  for (size_t i = 0; i < rows; ++i) {
-    for (size_t j = 0; j < cols; ++j) db->SetBit(i, j, rng.Bernoulli(0.5));
+// A rows x cols bit matrix with random bits and Q queries from distinct
+// 256-bit keys (a batch mixes moduli the way concurrent sessions do).
+struct PirBatchFixture {
+  PirBatchFixture(size_t rows, size_t cols, size_t q_count) {
+    db = std::make_shared<crypto::PirDatabase>(rows, cols);
+    Rng rng(11);
+    for (size_t i = 0; i < rows; ++i) {
+      for (size_t j = 0; j < cols; ++j) db->SetBit(i, j, rng.Bernoulli(0.5));
+    }
+    for (size_t q = 0; q < q_count; ++q) {
+      auto client = crypto::PirClient::Create(256, &rng);
+      queries.push_back(*client->BuildQuery(q % cols, cols, &rng));
+    }
   }
-  auto client = crypto::PirClient::Create(256, &rng);
-  crypto::PirServer server(db);
-  auto query = client->BuildQuery(3, cols, &rng);
+
+  std::shared_ptr<crypto::PirDatabase> db;
+  std::vector<crypto::PirQuery> queries;
+};
+
+// One serial AnswerBatch sweep at 800 rows (the pir_popular bucket cap) over
+// a cols x Q grid: cols 4 and 8 are single-group pattern copies, cols 16
+// multiplies per row (and runs the SIMD lanes at Q >= 2 on a vector CPU).
+// Items are queries.
+void BM_PirServerAnswer(benchmark::State& state) {
+  const size_t cols = static_cast<size_t>(state.range(0));
+  const size_t q_count = static_cast<size_t>(state.range(1));
+  const PirBatchFixture f(800, cols, q_count);
+  crypto::PirServer server(f.db);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.Answer(*query));
+    benchmark::DoNotOptimize(
+        server.AnswerBatch(std::span<const crypto::PirQuery>(f.queries)));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(rows * cols));
+                          static_cast<int64_t>(q_count));
 }
-BENCHMARK(BM_PirServerAnswer)->Arg(512)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_PirServerAnswer)
+    ->ArgsProduct({{4, 8, 16}, {1, 2, 8}})
+    ->ArgNames({"cols", "Q"})
+    ->Unit(benchmark::kMicrosecond);
+
+// What the server does per pir_popular sweep: answer 2 queries over an
+// 800 x 4 bucket, encode each payload and wrap it in a response frame.
+void BM_PirAnswerFrame(benchmark::State& state) {
+  const PirBatchFixture f(800, 4, 2);
+  crypto::PirServer server(f.db);
+  for (auto _ : state) {
+    auto batch =
+        server.AnswerBatch(std::span<const crypto::PirQuery>(f.queries));
+    for (const crypto::PirResponse& response : *batch) {
+      benchmark::DoNotOptimize(server::EncodeFrame(
+          server::FrameKind::kPirResult, 1,
+          server::EncodePirResponse(response)));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2);
+}
+BENCHMARK(BM_PirAnswerFrame)->Unit(benchmark::kMicrosecond);
+
+// One 4-column query at 256 bits: residue draws, unit and residuosity tests.
+void BM_PirBuildQuery(benchmark::State& state) {
+  Rng rng(17);
+  auto client = crypto::PirClient::Create(256, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(client->BuildQuery(1, 4, &rng));
+  }
+}
+BENCHMARK(BM_PirBuildQuery)->Unit(benchmark::kMicrosecond);
 
 void BM_PirServerAnswerPooled(benchmark::State& state) {
   const size_t rows = 4096;

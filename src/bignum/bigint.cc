@@ -4,6 +4,7 @@
 #include <bit>
 #include <cassert>
 #include <cctype>
+#include <cstring>
 
 #include "common/strings.h"
 
@@ -71,14 +72,9 @@ Result<BigInt> BigInt::FromHexString(std::string_view s) {
 
 BigInt BigInt::FromBigEndianBytes(const std::vector<uint8_t>& bytes) {
   BigInt out;
-  size_t n = bytes.size();
-  if (n == 0) return out;
-  out.limbs_.assign((n + 7) / 8, 0);
-  for (size_t i = 0; i < n; ++i) {
-    // bytes[i] is the (n-1-i)-th byte from the least-significant end.
-    size_t pos = n - 1 - i;
-    out.limbs_[pos / 8] |= static_cast<uint64_t>(bytes[i]) << (8 * (pos % 8));
-  }
+  if (bytes.empty()) return out;
+  out.limbs_.resize((bytes.size() + 7) / 8);
+  BigEndianToLimbs(bytes.data(), bytes.size(), out.limbs_.data());
   out.Normalize();
   return out;
 }
@@ -116,16 +112,10 @@ std::vector<uint8_t> BigInt::ToBigEndianBytes() const {
 }
 
 std::vector<uint8_t> BigInt::ToBigEndianBytesPadded(size_t n) const {
-  std::vector<uint8_t> raw = ToBigEndianBytes();
-  assert(raw.size() <= n && "value does not fit in requested width");
-  if (raw.size() > n) {
-    // Defined Release-build fallback: keep the low-order n bytes (the value
-    // mod 2^(8n)) instead of computing an out-of-range iterator below.
-    raw.erase(raw.begin(), raw.begin() + static_cast<long>(raw.size() - n));
-    return raw;
-  }
-  std::vector<uint8_t> out(n, 0);
-  std::copy(raw.begin(), raw.end(), out.begin() + (n - raw.size()));
+  assert((BitLength() + 7) / 8 <= n && "value does not fit in requested width");
+  // Release builds keep the low-order n bytes: the value mod 2^(8n).
+  std::vector<uint8_t> out(n);
+  LimbsToBigEndian(limbs_.data(), limbs_.size(), out.data(), n);
   return out;
 }
 
@@ -391,6 +381,39 @@ BigInt operator%(const BigInt& a, const BigInt& b) {
   BigInt r;
   BigInt::DivMod(a, b, nullptr, &r);
   return r;
+}
+
+void LimbsToBigEndian(const uint64_t* limbs, size_t k, uint8_t* out,
+                      size_t width) {
+  // Byte j of the value (0 = least significant) lands at out[width - 1 - j].
+  size_t pos = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (size_t i = 0; i < k && pos + 8 <= width; ++i, pos += 8) {
+      const uint64_t be = __builtin_bswap64(limbs[i]);
+      std::memcpy(out + width - pos - 8, &be, 8);
+    }
+  }
+  for (; pos < width; ++pos) {
+    const size_t limb = pos / 8;
+    out[width - 1 - pos] =
+        limb < k ? static_cast<uint8_t>(limbs[limb] >> (8 * (pos % 8))) : 0;
+  }
+}
+
+void BigEndianToLimbs(const uint8_t* in, size_t width, uint64_t* limbs) {
+  size_t pos = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; pos + 8 <= width; pos += 8) {
+      uint64_t be;
+      std::memcpy(&be, in + width - pos - 8, 8);
+      limbs[pos / 8] = __builtin_bswap64(be);
+    }
+  }
+  for (; pos < width; ++pos) {
+    if (pos % 8 == 0) limbs[pos / 8] = 0;
+    limbs[pos / 8] |= static_cast<uint64_t>(in[width - 1 - pos])
+                      << (8 * (pos % 8));
+  }
 }
 
 }  // namespace embellish::bignum

@@ -114,6 +114,17 @@ class BigInt {
   std::vector<uint64_t> limbs_;
 };
 
+/// \brief Writes the low `width` bytes of the `k`-limb little-endian value at
+///        `limbs` to `out`, big-endian, zero-padded above the value. This is
+///        ToBigEndianBytesPadded on raw limbs, with no allocation: the PIR
+///        server writes residues straight into response buffers with it.
+void LimbsToBigEndian(const uint64_t* limbs, size_t k, uint8_t* out,
+                      size_t width);
+
+/// \brief Reads `width` big-endian bytes into (width + 7) / 8 little-endian
+///        limbs at `limbs`; the inverse of LimbsToBigEndian.
+void BigEndianToLimbs(const uint8_t* in, size_t width, uint64_t* limbs);
+
 }  // namespace embellish::bignum
 
 #endif  // EMBELLISH_BIGNUM_BIGINT_H_

@@ -406,20 +406,25 @@ void MontgomeryContext::MontMulSelectInto(const uint64_t* factors,
 
 void MontgomeryContext::ToMontgomeryInto(const BigInt& a, uint64_t* out,
                                          Scratch* scratch) const {
+  ToMontgomeryInto(a.limbs().data(), a.limbs().size(), out, scratch);
+}
+
+void MontgomeryContext::ToMontgomeryInto(const uint64_t* a, size_t count,
+                                         uint64_t* out,
+                                         Scratch* scratch) const {
   const size_t k = k_;
-  const std::vector<uint64_t>& limbs = a.limbs();
   const uint64_t* r2 = r2_limbs_.data();
   // Zero-extends limbs [begin, end) of `a` into k limbs at `dst`. A zero
   // BigInt has no limbs and a null data(); memcpy from a null pointer is UB
   // even for zero bytes, so the empty range is guarded.
-  const auto load = [&limbs, k](size_t begin, size_t end, uint64_t* dst) {
+  const auto load = [a, k](size_t begin, size_t end, uint64_t* dst) {
     if (end > begin) {
-      std::memcpy(dst, limbs.data() + begin, (end - begin) * sizeof(uint64_t));
+      std::memcpy(dst, a + begin, (end - begin) * sizeof(uint64_t));
     }
     std::memset(dst + (end - begin), 0, (k - (end - begin)) * sizeof(uint64_t));
   };
-  if (limbs.size() <= k) {
-    load(0, limbs.size(), out);
+  if (count <= k) {
+    load(0, count, out);
     MontMulInto(out, r2, out, scratch);
     return;
   }
@@ -430,13 +435,13 @@ void MontgomeryContext::ToMontgomeryInto(const BigInt& a, uint64_t* out,
   // accumulator already in Montgomery form by R.
   assert(scratch != nullptr && scratch->k_ >= k);
   uint64_t* chunk = scratch->chunk_.data();
-  size_t top = (limbs.size() - 1) / k;
-  load(top * k, limbs.size(), chunk);
+  size_t top = (count - 1) / k;
+  load(top * k, count, chunk);
   MontMulInto(chunk, r2, out, scratch);
   const uint64_t* n = n_limbs_.data();
   while (top-- > 0) {
     MontMulInto(out, r2, out, scratch);
-    MontMulInto(limbs.data() + top * k, r2, chunk, scratch);
+    MontMulInto(a + top * k, r2, chunk, scratch);
     // out = (out + chunk) mod n; both inputs are below n.
     u128 carry = 0;
     for (size_t i = 0; i < k; ++i) {

@@ -108,6 +108,11 @@ class MontgomeryContext {
   void ToMontgomeryInto(const BigInt& a, uint64_t* out,
                         Scratch* scratch) const;
 
+  /// \brief As above for the `count` little-endian limbs at `a` (leading
+  ///        zero limbs allowed), e.g. a residue read off the wire.
+  void ToMontgomeryInto(const uint64_t* a, size_t count, uint64_t* out,
+                        Scratch* scratch) const;
+
   /// \brief Bit-selected product chain, the PIR row kernel:
   ///          for j in [0, count):  acc *= factors[(2j + bit_j) * k]
   ///        with bit_j = (selector[j / 64] >> (j % 64)) & 1 and everything in

@@ -76,6 +76,31 @@ size_t PirQuery::WireBytes() const {
   return (1 + q.size()) * key_bytes;
 }
 
+PirResponse::PirResponse(size_t value_size, size_t rows)
+    : value_size_(value_size), bytes_(value_size * rows, 0) {}
+
+PirResponse::PirResponse(size_t value_size, std::vector<uint8_t> bytes)
+    : value_size_(value_size), bytes_(std::move(bytes)) {
+  assert(value_size_ == 0 ? bytes_.empty() : bytes_.size() % value_size_ == 0);
+}
+
+PirResponse PirResponse::FromValues(std::span<const BigInt> values,
+                                    size_t value_size) {
+  PirResponse out(value_size, values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    assert((values[i].BitLength() + 7) / 8 <= value_size);
+    const std::vector<uint64_t>& limbs = values[i].limbs();
+    bignum::LimbsToBigEndian(limbs.data(), limbs.size(), out.mutable_value(i),
+                             value_size);
+  }
+  return out;
+}
+
+BigInt PirResponse::ValueAsBigInt(size_t i) const {
+  const std::span<const uint8_t> v = value(i);
+  return BigInt::FromBigEndianBytes(std::vector<uint8_t>(v.begin(), v.end()));
+}
+
 Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
   if (key_bits < 128 || key_bits > 4096) {
     return Status::InvalidArgument("key_bits out of supported range");
@@ -87,6 +112,7 @@ Result<PirClient> PirClient::Create(size_t key_bits, Rng* rng) {
     client.p2_ = bignum::RandomPrime(key_bits - half, rng);
   } while (client.p2_ == client.p1_);
   client.n_ = client.p1_ * client.p2_;
+  client.n_bytes_ = client.n_.ToBigEndianBytes();
   auto m1 = bignum::MontgomeryContext::Create(client.p1_);
   auto m2 = bignum::MontgomeryContext::Create(client.p2_);
   if (!m1.ok()) return m1.status();
@@ -115,19 +141,21 @@ class LegendreTester {
         a_(scratch_.limb_count()),
         n_(scratch_.limb_count()) {}
 
-  int Mod1(const BigInt& v) { return Symbol(m1_, v); }
-  int Mod2(const BigInt& v) { return Symbol(m2_, v); }
+  int Mod1(const BigInt& v) { return Symbol(m1_, v.limbs()); }
+  int Mod2(const BigInt& v) { return Symbol(m2_, v.limbs()); }
 
-  // QR mod n iff (v|p1) = (v|p2) = +1. A symbol of 0 (v not a unit) means
-  // "not QR", exactly as Euler's criterion v^{(p-1)/2} = 0 != 1 did.
-  bool IsQuadraticResidue(const BigInt& v) {
-    return Mod1(v) == 1 && Mod2(v) == 1;
+  // QR mod n iff (v|p1) = (v|p2) = +1, for the little-endian limbs `v`. A
+  // symbol of 0 (v not a unit) means "not QR", exactly as Euler's criterion
+  // v^{(p-1)/2} = 0 != 1 did.
+  bool IsQuadraticResidue(std::span<const uint64_t> v) {
+    return Symbol(m1_, v) == 1 && Symbol(m2_, v) == 1;
   }
 
  private:
-  int Symbol(const bignum::MontgomeryContext& mont, const BigInt& v) {
+  int Symbol(const bignum::MontgomeryContext& mont,
+             std::span<const uint64_t> v) {
     const size_t k = mont.limb_count();
-    mont.ToMontgomeryInto(v, a_.data(), &scratch_);
+    mont.ToMontgomeryInto(v.data(), v.size(), a_.data(), &scratch_);
     const std::vector<uint64_t>& p = mont.modulus().limbs();
     std::copy(p.begin(), p.end(), n_.begin());
     return bignum::JacobiLimbs(a_.data(), n_.data(), k);
@@ -140,10 +168,47 @@ class LegendreTester {
   std::vector<uint64_t> n_;
 };
 
+// True iff the `width`-byte big-endian value at `v` lies in [1, n), with n
+// given as its minimal big-endian bytes. Widths above and below n's are
+// compared numerically.
+bool InUnitRange(const uint8_t* v, size_t width,
+                 const std::vector<uint8_t>& n) {
+  // Bytes above n's width must be zero, or v >= n.
+  const size_t lead = width > n.size() ? width - n.size() : 0;
+  if (std::any_of(v, v + lead, [](uint8_t b) { return b != 0; })) {
+    return false;
+  }
+  v += lead;
+  width -= lead;
+  if (std::all_of(v, v + width, [](uint8_t b) { return b == 0; })) {
+    return false;
+  }
+  // Narrower than n: below n, whose leading byte is nonzero.
+  return width < n.size() || std::memcmp(v, n.data(), width) < 0;
+}
+
+uint64_t HashBytes(const uint8_t* p, size_t size) {
+  uint64_t h = size;
+  size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    uint64_t w;
+    std::memcpy(&w, p + i, 8);
+    h = (h ^ w) * 0x9E3779B97F4A7C15ULL;
+    h ^= h >> 29;
+  }
+  for (; i < size; ++i) h = (h ^ p[i]) * 0x100000001B3ULL;
+  return h ^ (h >> 32);
+}
+
+// Memo slots for DecodeResponse: enough for every residue a single-group
+// response can hold (2^8) at load <= 1/2, and a bound on the memo's size
+// when every row is distinct.
+constexpr size_t kMaxMemoSlots = size_t{1} << 12;
+
 }  // namespace
 
 bool PirClient::IsQuadraticResidue(const BigInt& v) const {
-  return LegendreTester(*mont_p1_, *mont_p2_).IsQuadraticResidue(v);
+  return LegendreTester(*mont_p1_, *mont_p2_).IsQuadraticResidue(v.limbs());
 }
 
 Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
@@ -159,22 +224,27 @@ Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
   PirQuery query;
   query.n = n_;
   query.q.reserve(cols);
+  LegendreTester legendre(*mont_p1_, *mont_p2_);
   for (size_t j = 0; j < cols; ++j) {
-    if (j == target_col) {
-      // QNR with Jacobi symbol +1: non-residue modulo both prime factors,
-      // so it is indistinguishable from a QR without the trapdoor.
-      LegendreTester legendre(*mont_p1_, *mont_p2_);
-      while (true) {
-        BigInt z = bignum::RandomUnit(n_, rng);
-        if (legendre.Mod1(z) == 1) continue;  // QR mod p1
-        if (legendre.Mod2(z) == 1) continue;  // QR mod p2
+    while (true) {
+      // z is a unit iff gcd(z, n) = 1 iff neither prime divides z iff both
+      // symbols are nonzero. Each rejection costs one draw, as in
+      // bignum::RandomUnit, so the RNG stream is the Gcd sampler's.
+      BigInt z = bignum::RandomBelow(n_, rng);
+      const int s1 = legendre.Mod1(z);
+      if (s1 == 0) continue;
+      const int s2 = legendre.Mod2(z);
+      if (s2 == 0) continue;
+      if (j == target_col) {
+        // QNR with Jacobi symbol +1: non-residue modulo both prime factors,
+        // so it is indistinguishable from a QR without the trapdoor.
+        if (s1 == 1 || s2 == 1) continue;
         query.q.push_back(std::move(z));
-        break;
+      } else {
+        // Random QR: the square of a random unit (already reduced mod n).
+        query.q.push_back(bignum::ModMulReduced(z, z, n_));
       }
-    } else {
-      // Random QR: the square of a random unit (already reduced mod n).
-      BigInt w = bignum::RandomUnit(n_, rng);
-      query.q.push_back(bignum::ModMulReduced(w, w, n_));
+      break;
     }
   }
   return query;
@@ -182,15 +252,41 @@ Result<PirQuery> PirClient::BuildQuery(size_t target_col, size_t cols,
 
 Result<std::vector<bool>> PirClient::DecodeResponse(
     const PirResponse& response) const {
+  const size_t rows = response.rows();
+  const size_t width = response.value_size();
+  std::vector<bool> bits(rows);
+  if (rows == 0) return bits;
   LegendreTester legendre(*mont_p1_, *mont_p2_);
-  std::vector<bool> bits;
-  bits.reserve(response.gamma.size());
-  for (const BigInt& g : response.gamma) {
-    if (g.IsZero() || g >= n_) {
+  std::vector<uint64_t> limbs((width + 7) / 8);
+  // Open addressing over the distinct values: a slot is 0 (empty) or
+  // (first row + 1) << 1 | bit. Once half full, further new values are
+  // decoded without being remembered, which bounds every probe chain.
+  const size_t capacity = std::min(std::bit_ceil(2 * rows), kMaxMemoSlots);
+  std::vector<uint64_t> memo(capacity, 0);
+  size_t remembered = 0;
+  for (size_t i = 0; i < rows; ++i) {
+    const uint8_t* v = response.value(i).data();
+    size_t slot = HashBytes(v, width) & (capacity - 1);
+    while (memo[slot] != 0 &&
+           std::memcmp(response.value((memo[slot] >> 1) - 1).data(), v,
+                       width) != 0) {
+      slot = (slot + 1) & (capacity - 1);
+    }
+    if (memo[slot] != 0) {
+      bits[i] = (memo[slot] & 1) != 0;
+      continue;
+    }
+    if (!InUnitRange(v, width, n_bytes_)) {
       return Status::Corruption("PIR response value outside Z*_n");
     }
+    bignum::BigEndianToLimbs(v, width, limbs.data());
     // QR => bit 0, QNR => bit 1.
-    bits.push_back(!legendre.IsQuadraticResidue(g));
+    const bool bit = !legendre.IsQuadraticResidue(limbs);
+    bits[i] = bit;
+    if (2 * (remembered + 1) <= capacity) {
+      memo[slot] = (static_cast<uint64_t>(i + 1) << 1) | (bit ? 1 : 0);
+      ++remembered;
+    }
   }
   return bits;
 }
@@ -226,16 +322,26 @@ namespace {
 constexpr size_t kGroupBits = 8;
 constexpr size_t kTableEntries = size_t{1} << kGroupBits;
 
+// The row's bits in column group `group`. Groups are byte-aligned, so a
+// group never straddles a word.
+uint64_t GroupPattern(const uint64_t* row_words, size_t group, size_t cols) {
+  const size_t col0 = group * kGroupBits;
+  const size_t width = std::min(kGroupBits, cols - col0);
+  return (row_words[col0 / 64] >> (col0 % 64)) &
+         ((uint64_t{1} << width) - 1);
+}
+
 // Per-query evaluation state shared by Answer and AnswerBatch: the Montgomery
 // context, the interleaved column factors, and the table-path decision from
-// the amortization cost model. The subset tables themselves are built per
-// sweep (BuildTables) and released afterwards, so a batch never holds more
-// than one sub-batch's tables live.
+// the amortization cost model. The tables themselves are built per sweep
+// (BuildTables) and released afterwards, so a batch never holds more than
+// one sub-batch's tables live.
 struct QueryPlan {
   explicit QueryPlan(bignum::MontgomeryContext m) : mont(std::move(m)) {}
 
   bignum::MontgomeryContext mont;
-  size_t k = 0;  // limb width of the modulus
+  size_t k = 0;      // limb width of the modulus
+  size_t width = 0;  // response value bytes: the byte length of n
   // Montgomery forms of q_j and q_j^2, interleaved per column — slot
   // (2j + bit) holds the factor for b_ij == bit — so the inner loop indexes
   // adjacent cache lines whichever way the bit falls (Section 5.2: the row
@@ -243,11 +349,15 @@ struct QueryPlan {
   std::vector<uint64_t> factors;
   size_t ngroups = 0;
   bool use_tables = false;
-  size_t table_bytes = 0;         // footprint of the subset tables if built
+  size_t table_bytes = 0;         // footprint of the combined tables if built
   uint64_t table_build_muls = 0;  // MontMuls to build them
-  // Subset-product tables, layout [group][s1/s2][pattern][limb]; empty until
-  // BuildTables and after ReleaseTables.
+  // Combined tables T_g[v] in Montgomery form, layout [group][pattern][limb];
+  // built for multi-group plans, empty until BuildTables and after
+  // ReleaseTables.
   std::vector<uint64_t> tables;
+  // Single-group plans: T[v] already converted to response bytes, layout
+  // [pattern][width].
+  std::vector<uint8_t> patterns;
 };
 
 Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
@@ -264,6 +374,7 @@ Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
   if (!mont_res.ok()) return mont_res.status();
   QueryPlan plan(std::move(mont_res).value());
   plan.k = plan.mont.limb_count();
+  plan.width = (query.n.BitLength() + 7) / 8;
 
   plan.factors.resize(2 * cols * plan.k);
   {
@@ -277,22 +388,23 @@ Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
   }
 
   plan.ngroups = (cols + kGroupBits - 1) / kGroupBits;
-  plan.table_bytes =
-      plan.ngroups * 2 * kTableEntries * plan.k * sizeof(uint64_t);
+  plan.table_bytes = plan.ngroups * kTableEntries * plan.k * sizeof(uint64_t);
   for (size_t group = 0; group < plan.ngroups; ++group) {
-    const size_t width = std::min(kGroupBits, cols - group * kGroupBits);
-    plan.table_build_muls += 2 * ((uint64_t{1} << width) - width - 1);
+    const uint64_t width = std::min(kGroupBits, cols - group * kGroupBits);
+    const uint64_t entries = uint64_t{1} << width;
+    // Two subset-product chains, then one fold MontMul per entry.
+    plan.table_build_muls += 2 * (entries - width - 1) + entries;
   }
 
   // Amortization-aware gate (replaces the old `rows >= 128` cliff, which
   // silently dropped small post-reshard slices onto the naive path): take
-  // the subset-product tables exactly when they strictly reduce the MontMul
-  // count — build cost plus (2g - 1) muls per row versus the naive cols muls
+  // the combined tables exactly when they strictly reduce the MontMul
+  // count — build cost plus (g - 1) muls per row versus the naive cols muls
   // per row — and this query's tables alone fit the budget. Batch width
   // never flips this decision; budget pressure across a batch splits the
   // sweep instead (see AnswerBatch).
   const uint64_t row_muls_tables =
-      static_cast<uint64_t>(rows) * (2 * plan.ngroups - 1);
+      static_cast<uint64_t>(rows) * (plan.ngroups - 1);
   const uint64_t row_muls_naive = static_cast<uint64_t>(rows) * cols;
   plan.use_tables = cols >= 4 &&
                     plan.table_build_muls + row_muls_tables < row_muls_naive &&
@@ -302,35 +414,40 @@ Result<QueryPlan> PlanQuery(const PirQuery& query, size_t rows, size_t cols,
 
 // MontMuls charged to one query's row sweep (excludes the table build).
 uint64_t RowMuls(const QueryPlan& plan, size_t rows, size_t cols) {
-  return plan.use_tables
-             ? static_cast<uint64_t>(rows) * (2 * plan.ngroups - 1)
-             : static_cast<uint64_t>(rows) * cols;
+  return plan.use_tables ? static_cast<uint64_t>(rows) * (plan.ngroups - 1)
+                         : static_cast<uint64_t>(rows) * cols;
 }
 
-// Subset-product tables ("four Russians" over the bit matrix): split the
-// columns into groups of up to 8. For a group of width w, a row's partial
-// product  prod_i (bit_i ? q_i : q_i^2)  takes one of 2^w values, and the
-// 2^w subset products of {q_i} (table S1) and {q_i^2} (table S2) can each
-// be built with one MontMul per entry. A row then costs
-//   MontMul(S1[v], S2[~v])            per group (v = the row's w bits)
-// plus one combining MontMul per extra group — ~2 multiplications per 8
-// columns instead of 8. The multiset of factors is unchanged, so the gamma
-// values are bit-identical to the naive chain. Tables are built once per
-// query per sweep (serial setup) and shared read-only across workers.
+// A plan multiplies per row unless it is a single-group table plan, whose
+// rows are copies of precomputed pattern bytes.
+bool MultipliesPerRow(const QueryPlan& plan) {
+  return !plan.use_tables || plan.ngroups >= 2;
+}
+
+// Combined tables ("four Russians" over the bit matrix). For a group of
+// width w, a row's partial product prod_i (bit_i ? q_i : q_i^2) takes one of
+// 2^w values: with S1 the 2^w subset products of {q_i} and S2 those of
+// {q_i^2} (one MontMul per entry each, table[v] = table[v ^ lowbit] *
+// factor), it is T[v] = S1[v] * S2[~v]. Every product is the canonical
+// residue, so T-chained rows equal the naive chain bit for bit. A
+// single-group plan's rows are T[v] itself: its entries leave Montgomery
+// form once, as response bytes. Built once per query per sweep (serial
+// setup) and shared read-only across workers.
 void BuildTables(QueryPlan* plan, size_t cols) {
   const bignum::MontgomeryContext& mont = plan->mont;
   const size_t k = plan->k;
   bignum::MontgomeryContext::Scratch scratch(mont);
-  plan->tables.resize(plan->ngroups * 2 * kTableEntries * k);
+  std::vector<uint64_t> subsets(2 * kTableEntries * k);  // S1, S2 of a group
+  plan->tables.resize(plan->ngroups * kTableEntries * k);
   for (size_t group = 0; group < plan->ngroups; ++group) {
     const size_t col0 = group * kGroupBits;
     const size_t width = std::min(kGroupBits, cols - col0);
+    const size_t entries = size_t{1} << width;
     for (size_t half = 0; half < 2; ++half) {
       // half 0: S1 over q_j (selector bit 1); half 1: S2 over q_j^2.
-      uint64_t* table =
-          plan->tables.data() + (group * 2 + half) * kTableEntries * k;
+      uint64_t* table = subsets.data() + half * kTableEntries * k;
       std::memcpy(table, mont.One().data(), k * sizeof(uint64_t));
-      for (size_t v = 1; v < (size_t{1} << width); ++v) {
+      for (size_t v = 1; v < entries; ++v) {
         const size_t low = v & (0 - v);
         const size_t col = col0 + std::countr_zero(low);
         const uint64_t* base =
@@ -343,11 +460,31 @@ void BuildTables(QueryPlan* plan, size_t cols) {
         }
       }
     }
+    const uint64_t* s1 = subsets.data();
+    const uint64_t* s2 = subsets.data() + kTableEntries * k;
+    uint64_t* combined = plan->tables.data() + group * kTableEntries * k;
+    for (size_t v = 0; v < entries; ++v) {
+      mont.MontMulInto(s1 + v * k, s2 + ((~v) & (entries - 1)) * k,
+                       combined + v * k, &scratch);
+    }
+  }
+  if (plan->ngroups == 1) {
+    const size_t entries = size_t{1} << cols;
+    plan->patterns.resize(entries * plan->width);
+    for (size_t v = 0; v < entries; ++v) {
+      uint64_t* entry = plan->tables.data() + v * k;
+      mont.FromMontgomeryInto(entry, entry, &scratch);
+      bignum::LimbsToBigEndian(entry, k,
+                               plan->patterns.data() + v * plan->width,
+                               plan->width);
+    }
+    std::vector<uint64_t>().swap(plan->tables);
   }
 }
 
 void ReleaseTables(QueryPlan* plan) {
   std::vector<uint64_t>().swap(plan->tables);
+  std::vector<uint8_t>().swap(plan->patterns);
 }
 
 using LaneCtx = bignum::MontgomeryLaneContext;
@@ -356,7 +493,7 @@ using LaneCtx = bignum::MontgomeryLaneContext;
 // vector Montgomery engine together. Each lane carries its own modulus; the
 // row bits (and hence every table index v) are shared by construction, so a
 // single kernel call folds the row into every member's accumulator. Members
-// in a lane group do not build scalar tables — their subset products live in
+// in a lane group do not build scalar tables — their combined tables live in
 // lane form here. Lane-form entries occupy the internal radix (<= 2x the
 // scalar bytes on avx2, ~1.23x on ifma), a bounded constant over the scalar
 // tables they replace; the sweep budget keeps using the scalar accounting.
@@ -366,7 +503,7 @@ struct LaneGroup {
   // Naive path: slot (2j + bit) mirrors QueryPlan::factors, lane-packed.
   // Table path: consumed by BuildLaneTables, then released.
   std::vector<LaneCtx::Block> factor_blocks;
-  // Table path: layout [group][s1/s2][pattern], one Block per entry.
+  // Table path: combined tables, layout [group][pattern], one Block each.
   std::vector<LaneCtx::Block> table_blocks;
   bool use_tables = false;
   size_t ngroups = 0;
@@ -374,15 +511,20 @@ struct LaneGroup {
 
 // Splits a sub-batch into lane groups of 2..kMaxLanes members sharing a limb
 // width (the table-path decision is width-determined, so equal k implies an
-// identical path) and appends everyone else — singletons, or every member
-// when the CPU lacks a vector tier — to `scalar_members`. Scalar-tier builds
-// take the untouched per-member path, so disabling the engine costs nothing.
+// identical path) and appends everyone else — plans that do not multiply per
+// row, singletons, or every member when the CPU lacks a vector tier — to
+// `scalar_members`. Scalar-tier builds take the untouched per-member path,
+// so disabling the engine costs nothing.
 void FormLaneGroups(const std::vector<QueryPlan>& plans,
                     const std::vector<size_t>& members,
                     std::vector<LaneGroup>* groups,
                     std::vector<size_t>* scalar_members) {
   std::vector<std::pair<size_t, std::vector<size_t>>> buckets;
   for (size_t m : members) {
+    if (!MultipliesPerRow(plans[m])) {
+      scalar_members->push_back(m);
+      continue;
+    }
     auto it = std::find_if(buckets.begin(), buckets.end(),
                            [&](const auto& b) { return b.first == plans[m].k; });
     if (it == buckets.end()) {
@@ -434,24 +576,23 @@ void PackLaneFactors(const std::vector<QueryPlan>& plans, size_t cols,
   }
 }
 
-// The four-Russians build in lane form: identical v-chain to the scalar
-// BuildTables — table[v] = table[v ^ lowbit] * factor[lowest set column] —
-// executed once for the whole group instead of once per member, every lane
-// building its own modulus's subset products. Per member the chain performs
-// exactly QueryPlan::table_build_muls logical multiplications, which is what
-// keeps the pinned mont_muls formula untouched.
+// BuildTables in lane form: the same S1/S2 chains and T[v] = S1[v] * S2[~v]
+// fold, executed once for the whole group instead of once per member, every
+// lane building its own modulus's tables. Per member this is exactly
+// QueryPlan::table_build_muls logical multiplications.
 void BuildLaneTables(size_t cols, LaneGroup* group) {
   const LaneCtx& lane = *group->lane;
   LaneCtx::Scratch scratch(lane);
-  group->table_blocks.resize(group->ngroups * 2 * kTableEntries);
+  std::vector<LaneCtx::Block> subsets(2 * kTableEntries, lane.MakeBlock());
+  group->table_blocks.assign(group->ngroups * kTableEntries, lane.MakeBlock());
   for (size_t g = 0; g < group->ngroups; ++g) {
     const size_t col0 = g * kGroupBits;
     const size_t width = std::min(kGroupBits, cols - col0);
+    const size_t entries = size_t{1} << width;
     for (size_t half = 0; half < 2; ++half) {
-      LaneCtx::Block* table =
-          group->table_blocks.data() + (g * 2 + half) * kTableEntries;
+      LaneCtx::Block* table = subsets.data() + half * kTableEntries;
       table[0] = lane.One();
-      for (size_t v = 1; v < (size_t{1} << width); ++v) {
+      for (size_t v = 1; v < entries; ++v) {
         const size_t low = v & (0 - v);
         const size_t col = col0 + static_cast<size_t>(std::countr_zero(low));
         const LaneCtx::Block& base =
@@ -459,49 +600,48 @@ void BuildLaneTables(size_t cols, LaneGroup* group) {
         if (v == low) {
           table[v] = base;
         } else {
-          table[v] = lane.MakeBlock();
           lane.Mul(table[v ^ low], base, &table[v], &scratch);
         }
       }
+    }
+    for (size_t v = 0; v < entries; ++v) {
+      lane.Mul(subsets[v], subsets[kTableEntries + ((~v) & (entries - 1))],
+               &group->table_blocks[g * kTableEntries + v], &scratch);
     }
   }
   // The packed factors only feed the build; the sweep reads the tables.
   std::vector<LaneCtx::Block>().swap(group->factor_blocks);
 }
 
-// Worker-owned lane-path state: one Scratch and accumulator pair per lane
-// group (blocks are group-width-bound), plus a flat per-lane plain-limb
-// staging buffer for FromMontgomery.
+// Worker-owned lane-path state: one Scratch and accumulator per lane group
+// (blocks are group-width-bound), plus a flat per-lane plain-limb staging
+// buffer for FromMontgomery.
 struct LaneSweepState {
   LaneSweepState(const LaneGroup& group, size_t k)
       : scratch(*group.lane),
         acc(group.lane->MakeBlock()),
-        part(group.lane->MakeBlock()),
         plain(LaneCtx::kMaxLanes * k) {}
 
   LaneCtx::Scratch scratch;
   LaneCtx::Block acc;
-  LaneCtx::Block part;
   std::vector<uint64_t> plain;
 };
 
 // One pass over the bit matrix answering every member query: each row is
-// extracted exactly once and each member's per-query state (subset tables or
-// factor chain) is consulted against it. Rows are the parallel axis; all
-// per-multiplication state lives in worker-owned scratch/buffers and the
-// column loops perform zero heap allocations. Per query, the factor multiset
-// and multiplication order match the single-query kernel exactly, so the
-// gammas are bit-identical to serial Answer calls.
+// extracted exactly once and each member's state (combined tables, pattern
+// bytes or factor chain) is consulted against it, and its residue is
+// written into the member's response buffer. Rows are the parallel axis;
+// all per-multiplication state lives in worker-owned scratch/buffers and the
+// row loop performs no heap allocation.
 //
 // Members arrive in two populations: `groups` (lane groups — one vector
 // kernel call advances every member of a group at once, indices shared
-// because the row bits are) and `members` (per-query scalar path). The lane
-// path issues the same logical multiplications in the same order as the
-// scalar path — acc = S1[v] * S2[~v], then one combine per extra group, or
-// the One-seeded naive chain — and the lane engine reduces fully, so lane
-// gammas are bit-identical too. Returns worker CPU ms.
+// because the row bits are) and `members` (per-query scalar path). Both
+// issue the same logical multiplications — T_0[v_0] * T_1[v_1] * ... on the
+// table path, the One-seeded chain on the naive path — and every product is
+// fully reduced, so all paths agree bit for bit. Returns worker CPU ms.
 double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
-                 std::vector<QueryPlan>& plans,
+                 const std::vector<QueryPlan>& plans,
                  const std::vector<size_t>& members,
                  const std::vector<LaneGroup>& groups,
                  std::vector<PirResponse>& responses) {
@@ -532,37 +672,27 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
     }
     std::vector<uint64_t> row_words(db.RowWords());
     std::vector<uint64_t> acc(max_k);
-    std::vector<uint64_t> part(max_k);
-    std::vector<uint64_t> plain(max_k);
     for (size_t i = row_begin; i < row_end; ++i) {
       db.ExtractRow(i, row_words.data());
+      const uint64_t* bits = row_words.data();
       for (size_t gi = 0; gi < groups.size(); ++gi) {
         const LaneGroup& group = groups[gi];
         LaneSweepState& st = lane_state[gi];
         const LaneCtx& lane = *group.lane;
         const size_t k = plans[group.members[0]].k;
         if (group.use_tables) {
-          for (size_t g = 0; g < group.ngroups; ++g) {
-            const size_t col0 = g * kGroupBits;
-            const size_t width = std::min(kGroupBits, cols - col0);
-            const uint64_t mask = (uint64_t{1} << width) - 1;
-            const uint64_t v = (row_words[col0 / 64] >> (col0 % 64)) & mask;
-            const LaneCtx::Block& s1 =
-                group.table_blocks[(g * 2 + 0) * kTableEntries + v];
-            const LaneCtx::Block& s2 =
-                group.table_blocks[(g * 2 + 1) * kTableEntries +
-                                   ((~v) & mask)];
-            if (g == 0) {
-              lane.Mul(s1, s2, &st.acc, &st.scratch);
-            } else {
-              lane.Mul(s1, s2, &st.part, &st.scratch);
-              lane.Mul(st.acc, st.part, &st.acc, &st.scratch);
-            }
+          const LaneCtx::Block* t = group.table_blocks.data();
+          lane.Mul(t[GroupPattern(bits, 0, cols)],
+                   t[kTableEntries + GroupPattern(bits, 1, cols)], &st.acc,
+                   &st.scratch);
+          for (size_t g = 2; g < group.ngroups; ++g) {
+            lane.Mul(st.acc, t[g * kTableEntries + GroupPattern(bits, g, cols)],
+                     &st.acc, &st.scratch);
           }
         } else {
           st.acc = lane.One();
           for (size_t j = 0; j < cols; ++j) {
-            const uint64_t bit = (row_words[j / 64] >> (j % 64)) & 1;
+            const uint64_t bit = (bits[j / 64] >> (j % 64)) & 1;
             lane.Mul(st.acc, group.factor_blocks[2 * j + bit], &st.acc,
                      &st.scratch);
           }
@@ -573,44 +703,43 @@ double SweepRows(const PirDatabase& db, ThreadPool* pool, size_t cols,
         }
         lane.FromMontgomery(st.acc, outp, &st.scratch);
         for (size_t l = 0; l < group.members.size(); ++l) {
-          responses[group.members[l]].gamma[i] = bignum::BigInt::FromLimbs(
-              std::vector<uint64_t>(outp[l], outp[l] + k));
+          const size_t m = group.members[l];
+          bignum::LimbsToBigEndian(outp[l], k, responses[m].mutable_value(i),
+                                   plans[m].width);
         }
       }
       for (size_t mi = 0; mi < members.size(); ++mi) {
-        QueryPlan& plan = plans[members[mi]];
+        const QueryPlan& plan = plans[members[mi]];
+        uint8_t* out = responses[members[mi]].mutable_value(i);
+        if (!MultipliesPerRow(plan)) {
+          std::memcpy(out,
+                      plan.patterns.data() +
+                          GroupPattern(bits, 0, cols) * plan.width,
+                      plan.width);
+          continue;
+        }
         const bignum::MontgomeryContext& mont = plan.mont;
         const size_t k = plan.k;
         bignum::MontgomeryContext::Scratch* scratch = &scratches[scratch_of[mi]];
         if (plan.use_tables) {
-          for (size_t group = 0; group < plan.ngroups; ++group) {
-            const size_t col0 = group * kGroupBits;
-            const size_t width = std::min(kGroupBits, cols - col0);
-            const uint64_t mask = (uint64_t{1} << width) - 1;
-            // Groups are byte-aligned, so a group never straddles a word.
-            const uint64_t v = (row_words[col0 / 64] >> (col0 % 64)) & mask;
-            const uint64_t* s1 =
-                plan.tables.data() + (group * 2 + 0) * kTableEntries * k +
-                v * k;
-            const uint64_t* s2 =
-                plan.tables.data() + (group * 2 + 1) * kTableEntries * k +
-                ((~v) & mask) * k;
-            if (group == 0) {
-              mont.MontMulInto(s1, s2, acc.data(), scratch);
-            } else {
-              mont.MontMulInto(s1, s2, part.data(), scratch);
-              mont.MontMulInto(acc.data(), part.data(), acc.data(), scratch);
-            }
+          const uint64_t* t = plan.tables.data();
+          mont.MontMulInto(
+              t + GroupPattern(bits, 0, cols) * k,
+              t + (kTableEntries + GroupPattern(bits, 1, cols)) * k,
+              acc.data(), scratch);
+          for (size_t g = 2; g < plan.ngroups; ++g) {
+            mont.MontMulInto(
+                acc.data(),
+                t + (g * kTableEntries + GroupPattern(bits, g, cols)) * k,
+                acc.data(), scratch);
           }
         } else {
           std::memcpy(acc.data(), mont.One().data(), k * sizeof(uint64_t));
-          mont.MontMulSelectInto(plan.factors.data(), row_words.data(), cols,
-                                 acc.data(), scratch);
+          mont.MontMulSelectInto(plan.factors.data(), bits, cols, acc.data(),
+                                 scratch);
         }
-        plain.resize(k);
-        mont.FromMontgomeryInto(acc.data(), plain.data(), scratch);
-        responses[members[mi]].gamma[i] =
-            bignum::BigInt::FromLimbs(std::move(plain));
+        mont.FromMontgomeryInto(acc.data(), acc.data(), scratch);
+        bignum::LimbsToBigEndian(acc.data(), k, out, plan.width);
       }
     }
   };
@@ -690,11 +819,12 @@ Result<std::vector<PirResponse>> PirServer::AnswerBatch(
     members.reserve(end - begin);
     for (size_t m = begin; m < end; ++m) {
       members.push_back(m);
-      responses[m].gamma.resize(rows);
+      responses[m] = PirResponse(plans[m].width, rows);
     }
 
-    // Same-width members pair up into SIMD lane groups; leftovers (and every
-    // member on a scalar-tier build) stay on the per-query scalar path.
+    // Same-width members that multiply per row pair up into SIMD lane
+    // groups; the rest (and every member on a scalar-tier build) stay on
+    // the per-query scalar path.
     std::vector<LaneGroup> groups;
     std::vector<size_t> scalar_members;
     FormLaneGroups(plans, members, &groups, &scalar_members);
@@ -713,16 +843,13 @@ Result<std::vector<PirResponse>> PirServer::AnswerBatch(
     for (size_t m : scalar_members) ReleaseTables(&plans[m]);
 
     // Lane occupancy, counted arithmetically (the sweep is deterministic):
-    // per row a table group issues 2g - 1 vector muls and a naive group
-    // issues cols; the lane table build issues one member's worth of chain
+    // per row a table group issues g - 1 vector muls and a naive group
+    // issues cols; the lane table build issues one member's worth of build
     // muls for the whole group. Conversions are excluded, as in mont_muls.
     for (const LaneGroup& group : groups) {
       const QueryPlan& p0 = plans[group.members[0]];
-      const uint64_t invocations =
-          group.use_tables
-              ? static_cast<uint64_t>(rows) * (2 * group.ngroups - 1) +
-                    p0.table_build_muls
-              : static_cast<uint64_t>(rows) * cols;
+      const uint64_t invocations = RowMuls(p0, rows, cols) +
+                                   (group.use_tables ? p0.table_build_muls : 0);
       local.simd_lane_muls += invocations;
       local.simd_active_lanes += invocations * group.members.size();
     }

@@ -74,12 +74,51 @@ struct PirQuery {
   size_t WireBytes() const;
 };
 
-/// \brief PIR response: one residue per database row.
-struct PirResponse {
-  std::vector<bignum::BigInt> gamma;  // size = rows
+/// \brief PIR response: one residue per database row, held exactly as the
+///        wire carries it — rows() values of value_size() bytes each,
+///        big-endian and zero-padded, back to back. The server writes rows
+///        straight into this buffer and the client reads them in place: no
+///        BigInt exists per row on either side.
+class PirResponse {
+ public:
+  PirResponse() = default;
+
+  /// \brief `rows` zero values of `value_size` bytes each.
+  PirResponse(size_t value_size, size_t rows);
+
+  /// \brief Adopts `bytes`, whose size must be a multiple of `value_size`.
+  PirResponse(size_t value_size, std::vector<uint8_t> bytes);
+
+  /// \brief Each value padded to `value_size` bytes; a value must fit.
+  ///        For tests and reference implementations.
+  static PirResponse FromValues(std::span<const bignum::BigInt> values,
+                                size_t value_size);
+
+  size_t value_size() const { return value_size_; }
+  size_t rows() const {
+    return value_size_ == 0 ? 0 : bytes_.size() / value_size_;
+  }
+
+  /// \brief Row i's residue: value_size() big-endian bytes.
+  std::span<const uint8_t> value(size_t i) const {
+    return {bytes_.data() + i * value_size_, value_size_};
+  }
+  uint8_t* mutable_value(size_t i) { return bytes_.data() + i * value_size_; }
+
+  /// \brief Row i's residue as a BigInt (allocates; tests and diagnostics).
+  bignum::BigInt ValueAsBigInt(size_t i) const;
+
+  /// \brief All rows, in wire order.
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
 
   /// \brief Wire size in bytes given the query's key length.
-  size_t WireBytes(size_t key_bytes) const { return gamma.size() * key_bytes; }
+  size_t WireBytes(size_t key_bytes) const { return rows() * key_bytes; }
+
+  bool operator==(const PirResponse& other) const = default;
+
+ private:
+  size_t value_size_ = 0;
+  std::vector<uint8_t> bytes_;
 };
 
 /// \brief Client side: key state, query generation, response decoding.
@@ -89,13 +128,22 @@ class PirClient {
   static Result<PirClient> Create(size_t key_bits, Rng* rng);
 
   /// \brief Builds a query for column `target_col` of a `cols`-wide database.
+  ///        Every residue is a uniform draw below n, kept when it is a unit —
+  ///        both Legendre symbols nonzero, which is gcd(z, n) = 1 tested
+  ///        with the factorization — and, for the target column, a
+  ///        non-residue mod both primes; other columns send its square.
   Result<PirQuery> BuildQuery(size_t target_col, size_t cols, Rng* rng) const;
 
   /// \brief Decodes the response into the target column's bits: row i's
   ///        bit is 0 iff gamma_i is a QR mod n, i.e. iff the Legendre symbols
-  ///        (gamma_i|p1) and (gamma_i|p2) are both +1. The symbols come from
-  ///        a division-free binary Jacobi on fixed-width limbs
-  ///        (bignum::JacobiLimbs); nothing is allocated per row.
+  ///        (gamma_i|p1) and (gamma_i|p2) are both +1. Every row must lie in
+  ///        [1, n), compared numerically whatever the value width, or the
+  ///        call fails with Corruption. A response over a c-column bucket
+  ///        holds at most 2^c distinct residues, so the symbols are computed
+  ///        once per distinct value through a memo keyed by the value bytes.
+  ///        The symbols come from a division-free binary Jacobi on
+  ///        fixed-width limbs (bignum::JacobiLimbs); allocations do not grow
+  ///        with the row count.
   Result<std::vector<bool>> DecodeResponse(const PirResponse& response) const;
 
   size_t key_bytes() const { return (n_.BitLength() + 7) / 8; }
@@ -113,6 +161,7 @@ class PirClient {
   bignum::BigInt p1_;
   bignum::BigInt p2_;
   bignum::BigInt n_;
+  std::vector<uint8_t> n_bytes_;  // n big-endian, no leading zero byte
   std::shared_ptr<bignum::MontgomeryContext> mont_p1_;
   std::shared_ptr<bignum::MontgomeryContext> mont_p2_;
 };
@@ -124,7 +173,9 @@ class PirClient {
 /// work owned by a query (its table build, its per-row MontMuls) is counted
 /// per query. `mont_muls` for a single query equals exactly what `Answer`
 /// reports through `ops_out`, so batch-vs-serial op comparisons are
-/// apples-to-apples.
+/// apples-to-apples. On the table path a query costs, per column group of
+/// width w, 2(2^w - w - 1) + 2^w build MontMuls, plus g - 1 per row for g
+/// groups; the naive chain costs cols per row.
 struct PirBatchStats {
   uint64_t queries = 0;       ///< queries answered
   uint64_t sweeps = 0;        ///< passes over the bit matrix (sub-batches)
@@ -132,7 +183,7 @@ struct PirBatchStats {
   uint64_t rows_extracted = 0;   ///< rows pulled from the matrix, shared per sweep
   uint64_t mont_muls = 0;        ///< modular multiplications, summed over queries
   uint64_t table_build_muls = 0; ///< subset of mont_muls spent building tables
-  uint64_t table_queries = 0;    ///< queries on the subset-product (table) path
+  uint64_t table_queries = 0;    ///< queries on the combined-table path
   /// Vector Montgomery multiplications issued on the SIMD lane path — one per
   /// kernel invocation, however many lanes it carried. Domain conversions
   /// (pack/unpack) are excluded, mirroring mont_muls. Zero on a scalar sweep.
@@ -152,25 +203,45 @@ struct PirBatchStats {
 
 /// \brief Server side: evaluates queries against a PirDatabase.
 ///
-/// Each row's gamma is an independent product, so Answer parallelizes across
-/// rows when a thread pool is supplied: every worker owns a Montgomery
-/// scratch, a row-word buffer and an accumulator, and the inner column loop
-/// performs zero heap allocations per modular multiplication.
+/// Combined tables. The columns split into groups of up to 8. For a group of
+/// width w a row's partial product prod_j (b_ij ? q_j : q_j^2) depends only
+/// on the row's w bits v, so each query builds, once per sweep, the subset
+/// products S1[v] of {q_j} and S2[v] of {q_j^2} and folds them into one
+/// table T[v] = S1[v] * S2[~v]. A row then costs g - 1 MontMuls for g groups
+/// (T_0[v_0] * T_1[v_1] * ...) and one conversion out of Montgomery form,
+/// written straight into the response buffer. A single-group query (cols <=
+/// 8, e.g. every 4-term bucket) is the degenerate case: its 2^w entries are
+/// converted to response bytes once, and each row is a copy of its pattern's
+/// bytes — a c-column response holds at most 2^c distinct residues. The
+/// amortization gate takes the tables only when build plus row MontMuls beat
+/// the naive cols per row and the tables fit the batch budget; otherwise a
+/// query runs the naive chain. Every product is a canonical residue mod n,
+/// so all paths return the same values.
 ///
-/// AnswerBatch answers Q queries in one matrix x matrix sweep: each row of
-/// the bit matrix is extracted once and every query's per-column state
-/// (subset-product tables or factor chain) is consulted against it, turning
-/// Q passes over the database into one. Per query the factor multiset and
-/// multiplication order are identical to Answer, so the responses are
-/// bit-identical to Q serial Answer calls.
+/// Responses are flat (see PirResponse): rows x value_size big-endian bytes,
+/// exactly the wire layout, so encoding a response is a header and a copy.
 ///
-/// When the CPU has a vector Montgomery tier (see bignum/montgomery_lanes.h),
-/// members of a sweep that share a limb width additionally advance through
-/// the SIMD lane engine up to 8 at a time: one extracted row folds into up to
-/// 8 queries' accumulators per kernel call, and the subset-product tables of
-/// a lane group are built in lane form sharing one v-chain. Lane outputs are
+/// Rows are the parallel axis when a thread pool is supplied: every worker
+/// owns its Montgomery scratch, row-word buffer and accumulator, and the row
+/// loop performs no heap allocation.
+///
+/// AnswerBatch answers Q queries in one sweep: each row of the bit matrix is
+/// extracted once and every query's state (tables or factor chain) is
+/// consulted against it, turning Q passes over the database into one.
+///
+/// SIMD lanes run only where rows multiply: queries with g >= 2 groups or on
+/// the naive chain. When the CPU has a vector Montgomery tier (see
+/// bignum/montgomery_lanes.h), same-width members of a sweep advance through
+/// the lane engine up to 8 at a time, with their combined tables built in
+/// lane form sharing one v-chain. Single-group queries copy patterns and
+/// have nothing to vectorize. Measured on one core, 800 rows: when 4-column
+/// queries still multiplied per row, a Q = 2 batch (256-bit keys) took
+/// 460 us on the IFMA lanes against 185 us pinned to ADX. At 16 columns and
+/// Q = 8 the lanes beat ADX at every width: 80 vs 91 us/query at 256 bits,
+/// 161 vs 440 at 512, 561 vs 1,731 at 1,024. Partly filled groups still
+/// lose (16 columns, Q = 2, 256 bits: 661 vs 198 us). Lane outputs are
 /// fully reduced, so responses stay bit-identical to the scalar path;
-/// PirBatchStats::simd_fill() reports how full the lanes ran.
+/// PirBatchStats::simd_fill() reports how full they ran.
 class PirServer {
  public:
   /// \brief Default batch-wide budget for the subset-product tables. A batch
@@ -182,11 +253,12 @@ class PirServer {
   explicit PirServer(std::shared_ptr<const PirDatabase> database,
                      ThreadPool* pool = nullptr);
 
-  /// \brief Computes gamma_i for every row (the whole-column answer).
+  /// \brief Computes gamma_i for every row (the whole-column answer), each
+  ///        padded to the byte length of the query's n.
   ///        `ops_out`, if non-null, receives the number of modular
   ///        multiplications actually performed by the row-product evaluation
-  ///        (the subset-product tables need far fewer than the naive
-  ///        rows*cols; conversions are not counted), and `cpu_ms_out`, if
+  ///        (the combined tables need far fewer than the naive rows*cols;
+  ///        conversions are not counted), and `cpu_ms_out`, if
   ///        non-null, the thread-CPU milliseconds consumed summed across all
   ///        participating workers.
   Result<PirResponse> Answer(const PirQuery& query,

@@ -483,11 +483,8 @@ EmbellishServer::RequestOutcome EmbellishServer::HandlePirQuery(
               : engines.pir->Answer(bucket, payload->query, &costs);
   if (!response.ok()) return ErrorOutcome(frame.session_id, response.status());
 
-  const size_t value_size = (payload->query.n.BitLength() + 7) / 8;
-  std::vector<uint8_t> response_payload =
-      EncodePirResponse(*response, value_size);
   outcome.response = EncodeFrame(FrameKind::kPirResult, frame.session_id,
-                                 response_payload);
+                                 EncodePirResponse(*response));
   outcome.delta.pir_queries = 1;
   outcome.delta.server_cpu_ms = costs.server_cpu_ms;
   outcome.delta.server_io_ms = costs.server_io_ms;
@@ -519,10 +516,8 @@ void EmbellishServer::AnswerDeferredPir(
   // see.
   auto finalize = [&](PendingPir& p, const crypto::PirResponse& response,
                       ServerStats* delta) {
-    const size_t value_size = (p.payload.query.n.BitLength() + 7) / 8;
-    (*responses)[p.slot] =
-        EncodeFrame(FrameKind::kPirResult, p.session_id,
-                    EncodePirResponse(response, value_size));
+    (*responses)[p.slot] = EncodeFrame(FrameKind::kPirResult, p.session_id,
+                                       EncodePirResponse(response));
     delta->pir_queries += 1;
     delta->downlink_bytes += (*responses)[p.slot].size();
   };

@@ -129,9 +129,13 @@ struct PirQueryPayload {
 };
 Result<PirQueryPayload> DecodePirQuery(const std::vector<uint8_t>& payload);
 
-/// \brief PIR response payload: [u32 value_size][u32 row_count][gamma...].
-std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response,
-                                       size_t value_size);
+/// \brief PIR response payload: [u32 value_size][u32 row_count][gamma...],
+///        every gamma a big-endian residue padded to value_size bytes (the
+///        byte length of the query's n). This layout is unchanged;
+///        crypto::PirResponse holds the gamma bytes in exactly this form, so
+///        encoding is the header plus one copy and decoding checks the sizes
+///        and copies, parsing nothing per row.
+std::vector<uint8_t> EncodePirResponse(const crypto::PirResponse& response);
 Result<crypto::PirResponse> DecodePirResponse(
     const std::vector<uint8_t>& payload);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "bignum/modmath.h"
 #include "common/rng.h"
 
@@ -245,6 +248,39 @@ TEST(BigIntTest, PaddedBytesPreserveValue) {
   EXPECT_EQ(padded.size(), 8u);
   EXPECT_EQ(padded[0], 0);
   EXPECT_EQ(BigInt::FromBigEndianBytes(padded), a);
+}
+
+TEST(BigIntTest, LimbByteConversionsMatchBytewiseReference) {
+  // Byte j of a limb value (0 = least significant) is byte j % 8 of limb
+  // j / 8; LimbsToBigEndian writes the low `width` of them big-endian,
+  // zero above the value, and BigEndianToLimbs reads them back. Widths
+  // cover whole limbs, partial top limbs and padding beyond k limbs.
+  Rng rng(14);
+  for (size_t k = 0; k <= 5; ++k) {
+    for (size_t width = 0; width <= 41; ++width) {
+      std::vector<uint64_t> limbs(k);
+      for (uint64_t& l : limbs) l = rng.Next64();
+      std::vector<uint8_t> out(width, 0xAA);
+      LimbsToBigEndian(limbs.data(), k, out.data(), width);
+      for (size_t j = 0; j < width; ++j) {
+        const uint8_t expected =
+            j / 8 < k ? static_cast<uint8_t>(limbs[j / 8] >> (8 * (j % 8)))
+                      : 0;
+        ASSERT_EQ(out[width - 1 - j], expected)
+            << "k=" << k << " width=" << width << " byte " << j;
+      }
+      std::vector<uint64_t> back((width + 7) / 8, ~uint64_t{0});
+      BigEndianToLimbs(out.data(), width, back.data());
+      for (size_t i = 0; i < back.size(); ++i) {
+        uint64_t expected = 0;
+        for (size_t j = 8 * i; j < std::min(width, 8 * i + 8); ++j) {
+          expected |= static_cast<uint64_t>(out[width - 1 - j])
+                      << (8 * (j % 8));
+        }
+        ASSERT_EQ(back[i], expected) << "width=" << width << " limb " << i;
+      }
+    }
+  }
 }
 
 TEST(BigIntTest, BitAccessor) {

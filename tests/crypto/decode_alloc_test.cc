@@ -1,7 +1,8 @@
 // Counting-allocator proof that the client-side decoders allocate nothing
 // per ciphertext or per row: Benaloh decryption runs on per-key tables and
-// per-thread scratch, and PIR decoding allocates its output and one
-// Legendre workspace per response, however many rows it holds.
+// per-thread scratch, PIR decoding allocates its output, its memo and one
+// Legendre workspace per response, and the PIR server's answer and payload
+// encoding allocate per query, however many rows the matrix holds.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include "bignum/modmath.h"
 #include "crypto/benaloh.h"
 #include "crypto/pir.h"
+#include "server/framing.h"
 
 // -- Counting global allocator (this test binary only) ----------------------
 
@@ -80,13 +82,13 @@ TEST(DecodeAllocationTest, PirDecodeAllocationsDoNotGrowWithRows) {
   Rng rng(2);
   auto client = PirClient::Create(256, &rng);
   ASSERT_TRUE(client.ok());
-  PirResponse small;
-  PirResponse large;
+  std::vector<bignum::BigInt> values;
   for (int i = 0; i < 512; ++i) {
-    bignum::BigInt v = bignum::RandomUnit(client->n(), &rng);
-    if (i < 8) small.gamma.push_back(v);
-    large.gamma.push_back(std::move(v));
+    values.push_back(bignum::RandomUnit(client->n(), &rng));
   }
+  const auto small = PirResponse::FromValues(
+      std::span<const bignum::BigInt>(values).first(8), client->key_bytes());
+  const auto large = PirResponse::FromValues(values, client->key_bytes());
   const auto allocs_for = [&](const PirResponse& response) {
     const uint64_t before = Allocs();
     auto bits = client->DecodeResponse(response);
@@ -95,6 +97,38 @@ TEST(DecodeAllocationTest, PirDecodeAllocationsDoNotGrowWithRows) {
     return after - before;
   };
   EXPECT_EQ(allocs_for(small), allocs_for(large));
+}
+
+TEST(DecodeAllocationTest, PirAnswerAndEncodeAllocationsDoNotGrowWithRows) {
+  // AnswerBatch plus EncodePirResponse on one serial server: per-query
+  // plans, tables and response buffers, nothing per row — on the pattern
+  // path (cols 4), the multi-group path (cols 16) and the naive chain
+  // (cols 3).
+  Rng rng(3);
+  auto client = PirClient::Create(256, &rng);
+  ASSERT_TRUE(client.ok());
+  for (size_t cols : {4u, 16u, 3u}) {
+    std::vector<PirQuery> queries;
+    for (size_t q = 0; q < 2; ++q) {
+      queries.push_back(*client->BuildQuery(q % cols, cols, &rng));
+    }
+    const auto allocs_for = [&](size_t rows) {
+      auto db = std::make_shared<PirDatabase>(rows, cols);
+      for (size_t i = 0; i < rows; ++i) db->SetBit(i, i % cols, true);
+      PirServer server(db);
+      const uint64_t before = Allocs();
+      auto batch = server.AnswerBatch(std::span<const PirQuery>(queries));
+      EXPECT_TRUE(batch.ok());
+      size_t bytes = 0;
+      for (const PirResponse& response : *batch) {
+        bytes += server::EncodePirResponse(response).size();
+      }
+      const uint64_t after = Allocs();
+      EXPECT_GT(bytes, rows);
+      return after - before;
+    };
+    EXPECT_EQ(allocs_for(256), allocs_for(1024)) << "cols=" << cols;
+  }
 }
 
 }  // namespace

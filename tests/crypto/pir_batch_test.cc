@@ -14,11 +14,14 @@
 
 #include "common/cpuinfo.h"
 #include "common/thread_pool.h"
+#include "crypto/pir_reference.h"
 
 namespace embellish::crypto {
 namespace {
 
 using bignum::BigInt;
+using reference::AnswerSerialReference;
+using reference::SameResponse;
 
 std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
                                             uint64_t seed) {
@@ -30,32 +33,6 @@ std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
     }
   }
   return db;
-}
-
-// The seed implementation of Answer, kept as the reference: one GetBit and
-// one allocating MontMul per (row, column). Independent of the table path
-// and of the batch kernel.
-PirResponse AnswerSerialReference(const PirDatabase& db,
-                                  const PirQuery& query) {
-  auto mont_res = bignum::MontgomeryContext::Create(query.n);
-  EXPECT_TRUE(mont_res.ok());
-  const bignum::MontgomeryContext& mont = mont_res.value();
-  const size_t cols = db.cols();
-  std::vector<std::vector<uint64_t>> q_mont(cols);
-  std::vector<std::vector<uint64_t>> q2_mont(cols);
-  for (size_t j = 0; j < cols; ++j) {
-    q_mont[j] = mont.ToMontgomery(query.q[j]);
-    q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
-  }
-  PirResponse response;
-  for (size_t i = 0; i < db.rows(); ++i) {
-    std::vector<uint64_t> acc = mont.One();
-    for (size_t j = 0; j < cols; ++j) {
-      acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
-    }
-    response.gamma.push_back(mont.FromMontgomery(acc));
-  }
-  return response;
 }
 
 // Q queries over `cols` columns from a rotating set of clients, so a batch
@@ -90,11 +67,8 @@ void ExpectBatchMatchesSerial(const PirServer& server,
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     auto serial = server.Answer(queries[qi]);
     ASSERT_TRUE(serial.ok());
-    ASSERT_EQ(batch[qi].gamma.size(), serial->gamma.size());
-    for (size_t i = 0; i < serial->gamma.size(); ++i) {
-      ASSERT_EQ(batch[qi].gamma[i], serial->gamma[i])
-          << "query " << qi << " diverged from serial Answer at row " << i;
-    }
+    ASSERT_TRUE(SameResponse(batch[qi], *serial))
+        << "query " << qi << " diverged from serial Answer";
   }
 }
 
@@ -119,11 +93,9 @@ TEST(PirBatchTest, BitIdenticalToSerialAnswersAtEveryWidth) {
       EXPECT_EQ(stats.rows_extracted, rows);
       // Every query also matches the seed-style naive reference.
       for (size_t qi = 0; qi < q_count; ++qi) {
-        const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
-        for (size_t i = 0; i < rows; ++i) {
-          ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i])
-              << "query " << qi << " diverged from reference at row " << i;
-        }
+        ASSERT_TRUE(SameResponse((*batch)[qi],
+                                 AnswerSerialReference(*db, queries[qi])))
+            << "query " << qi << " diverged from reference";
       }
     }
   }
@@ -151,9 +123,10 @@ TEST(PirBatchTest, MixedKeyLengthsInOneBatch) {
 
 TEST(PirBatchTest, GateBoundaryAroundOldRowCliff) {
   // The old gate (rows >= 128) dropped 127-row matrices to the naive chain
-  // even though the tables pay from build + rows muls = 494 + 127 = 621
-  // against the naive 127 * 8 = 1016. The cost-model gate keeps the table
-  // path on both sides of the former cliff, at every batch width.
+  // even though the tables pay: one width-8 group builds in
+  // 2*(256-8-1) + 256 = 750 MontMuls and its rows cost none, against the
+  // naive 127 * 8 = 1016. The cost-model gate keeps the table path on both
+  // sides of the former cliff, at every batch width.
   Rng rng(17);
   auto clients = MakeClients(2, 256, &rng);
   const size_t cols = 8;
@@ -172,10 +145,8 @@ TEST(PirBatchTest, GateBoundaryAroundOldRowCliff) {
       EXPECT_LT(stats.mont_muls, q_count * rows * cols);
       ExpectBatchMatchesSerial(server, queries, *batch);
       for (size_t qi = 0; qi < q_count; ++qi) {
-        const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
-        for (size_t i = 0; i < rows; ++i) {
-          ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i]);
-        }
+        ASSERT_TRUE(SameResponse((*batch)[qi],
+                                 AnswerSerialReference(*db, queries[qi])));
       }
     }
   }
@@ -183,8 +154,9 @@ TEST(PirBatchTest, GateBoundaryAroundOldRowCliff) {
 
 TEST(PirBatchTest, OpAccountingFollowsPinnedFormula) {
   // rows=256, cols=8 (one width-8 group): per query the table build costs
-  // 2*(256-8-1) = 494 MontMuls and each row costs 2*1-1 = 1, so Q queries
-  // cost Q*(494+256) MontMuls while the 256 row extractions are shared.
+  // 2*(256-8-1) + 256 = 750 MontMuls (two subset chains, one fold per
+  // entry) and each row costs g-1 = 0, so Q queries cost Q*750 MontMuls
+  // while the 256 row extractions are shared.
   Rng rng(23);
   const size_t rows = 256, cols = 8, q_count = 4;
   auto db = RandomDatabase(rows, cols, 29);
@@ -196,7 +168,7 @@ TEST(PirBatchTest, OpAccountingFollowsPinnedFormula) {
   auto batch = server.AnswerBatch(
       std::span<const PirQuery>(queries.data(), queries.size()), &stats);
   ASSERT_TRUE(batch.ok());
-  const uint64_t build = 494, per_row = 1;
+  const uint64_t build = 750, per_row = 0;
   EXPECT_EQ(stats.table_build_muls, q_count * build);
   EXPECT_EQ(stats.mont_muls, q_count * (build + rows * per_row));
   EXPECT_EQ(stats.rows_extracted, rows);  // once, not once per query
@@ -216,7 +188,7 @@ TEST(PirBatchTest, OpAccountingFollowsPinnedFormula) {
 }
 
 TEST(PirBatchTest, TableBudgetSplitsIntoSubBatchesNeverNaive) {
-  // 256-bit keys, cols=8: one group of subset tables is 2*256*4*8 = 16 KiB
+  // 256-bit keys, cols=8: one group's combined table is 256*4*8 = 8 KiB
   // per query. A budget of two table sets forces a batch of 8 into four
   // sub-batch sweeps; every query stays on the table path.
   Rng rng(31);
@@ -225,7 +197,7 @@ TEST(PirBatchTest, TableBudgetSplitsIntoSubBatchesNeverNaive) {
   auto clients = MakeClients(2, 256, &rng);
   auto queries = MakeQueries(clients, q_count, cols, &rng);
   PirServer server(db);
-  const size_t table_bytes = 2 * 256 * 4 * sizeof(uint64_t);
+  const size_t table_bytes = 256 * 4 * sizeof(uint64_t);
   server.set_table_budget_bytes(2 * table_bytes);
 
   PirBatchStats stats;
@@ -248,7 +220,7 @@ TEST(PirBatchTest, BudgetBelowOneTableSetFallsBackToNaivePerQuery) {
   auto clients = MakeClients(1, 256, &rng);
   auto queries = MakeQueries(clients, q_count, cols, &rng);
   PirServer server(db);
-  server.set_table_budget_bytes(1024);  // < one 16 KiB table set
+  server.set_table_budget_bytes(1024);  // < one 8 KiB table set
 
   PirBatchStats stats;
   auto batch = server.AnswerBatch(
@@ -259,24 +231,24 @@ TEST(PirBatchTest, BudgetBelowOneTableSetFallsBackToNaivePerQuery) {
   EXPECT_EQ(stats.mont_muls, q_count * rows * cols);
   ExpectBatchMatchesSerial(server, queries, *batch);
   for (size_t qi = 0; qi < q_count; ++qi) {
-    const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
-    for (size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i]);
-    }
+    ASSERT_TRUE(SameResponse((*batch)[qi],
+                             AnswerSerialReference(*db, queries[qi])));
   }
 }
 
 TEST(PirBatchTest, EveryKernelTierIsBitIdenticalAndKeepsTheMulFormula) {
   // The SIMD lane path must change nothing observable except speed: at every
-  // kernel tier the CPU supports, the batch gammas match the seed reference
-  // bit for bit, and mont_muls follows the same pinned formula — lane
-  // batching never re-counts logical multiplications.
+  // kernel tier the CPU supports, the batch responses match the seed
+  // reference byte for byte, and mont_muls follows the same pinned formula —
+  // lane batching never re-counts logical multiplications. cols=16 is two
+  // width-8 groups, so rows multiply (g-1 = 1 per row) and lanes run:
+  // per query the build costs 2 * 750 MontMuls.
   Rng rng(59);
-  const size_t rows = 128, cols = 8, q_count = 8;
+  const size_t rows = 128, cols = 16, q_count = 8;
   auto db = RandomDatabase(rows, cols, 61);
   auto clients = MakeClients(3, 256, &rng);
   auto queries = MakeQueries(clients, q_count, cols, &rng);
-  const uint64_t build = 494, per_row = 1;
+  const uint64_t build = 1500, per_row = 1;
 
   const MontKernel restore = SelectedKernel();
   for (MontKernel kernel : {MontKernel::kScalar, MontKernel::kAdx,
@@ -291,11 +263,9 @@ TEST(PirBatchTest, EveryKernelTierIsBitIdenticalAndKeepsTheMulFormula) {
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(stats.mont_muls, q_count * (build + rows * per_row));
     for (size_t qi = 0; qi < q_count; ++qi) {
-      const PirResponse reference = AnswerSerialReference(*db, queries[qi]);
-      for (size_t i = 0; i < rows; ++i) {
-        ASSERT_EQ((*batch)[qi].gamma[i], reference.gamma[i])
-            << "query " << qi << " diverged from reference at row " << i;
-      }
+      ASSERT_TRUE(SameResponse((*batch)[qi],
+                               AnswerSerialReference(*db, queries[qi])))
+          << "query " << qi << " diverged from reference";
     }
     if (kernel >= MontKernel::kAvx2) {
       // One full lane group of 8 same-width queries: every vector mul
@@ -315,12 +285,13 @@ TEST(PirBatchTest, EveryKernelTierIsBitIdenticalAndKeepsTheMulFormula) {
 
 TEST(PirBatchTest, LaneOccupancyCountsPartialGroupsTruthfully) {
   // Q=5 same-width queries form one 5-lane group: fill = 5/8. A singleton
-  // (Q=1) never enters the lane engine at all.
+  // (Q=1) never enters the lane engine at all. cols=16 (two groups): only
+  // plans whose rows multiply run on lanes.
   if (ClampToCpu(MontKernel::kAvx2) != MontKernel::kAvx2) {
     GTEST_SKIP() << "no vector tier on this CPU";
   }
   Rng rng(67);
-  const size_t rows = 96, cols = 8;
+  const size_t rows = 128, cols = 16;
   auto db = RandomDatabase(rows, cols, 71);
   auto clients = MakeClients(2, 256, &rng);
   PirServer server(db);
@@ -347,6 +318,31 @@ TEST(PirBatchTest, LaneOccupancyCountsPartialGroupsTruthfully) {
     EXPECT_EQ(stats.simd_lane_muls, 0u);
   }
   SetKernelOverride(restore);
+}
+
+TEST(PirBatchTest, SingleGroupPlansStayOffTheLanes) {
+  // cols=8 with tables on: every row is a pattern copy, so no member
+  // multiplies per row and a full batch of 8 issues no vector work.
+  Rng rng(73);
+  const size_t rows = 128, cols = 8, q_count = 8;
+  auto db = RandomDatabase(rows, cols, 79);
+  auto clients = MakeClients(2, 256, &rng);
+  auto queries = MakeQueries(clients, q_count, cols, &rng);
+  const MontKernel restore = SelectedKernel();
+  SetKernelOverride(MaxSupportedKernel());
+  PirServer server(db);
+  PirBatchStats stats;
+  auto batch = server.AnswerBatch(
+      std::span<const PirQuery>(queries.data(), queries.size()), &stats);
+  SetKernelOverride(restore);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(stats.table_queries, q_count);
+  EXPECT_EQ(stats.simd_lane_muls, 0u);
+  EXPECT_EQ(stats.mont_muls, q_count * 750u);
+  for (size_t qi = 0; qi < q_count; ++qi) {
+    ASSERT_TRUE(SameResponse((*batch)[qi],
+                             AnswerSerialReference(*db, queries[qi])));
+  }
 }
 
 TEST(PirBatchTest, EmptyBatchAndInvalidQueryHandling) {

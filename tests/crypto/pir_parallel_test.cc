@@ -11,11 +11,14 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "crypto/pir_reference.h"
 
 namespace embellish::crypto {
 namespace {
 
 using bignum::BigInt;
+using reference::AnswerSerialReference;
+using reference::SameResponse;
 
 std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
                                             uint64_t seed) {
@@ -27,31 +30,6 @@ std::shared_ptr<PirDatabase> RandomDatabase(size_t rows, size_t cols,
     }
   }
   return db;
-}
-
-// The seed implementation of Answer, kept as the reference: one GetBit and
-// one allocating MontMul per (row, column).
-PirResponse AnswerSerialReference(const PirDatabase& db,
-                                  const PirQuery& query) {
-  auto mont_res = bignum::MontgomeryContext::Create(query.n);
-  EXPECT_TRUE(mont_res.ok());
-  const bignum::MontgomeryContext& mont = mont_res.value();
-  const size_t cols = db.cols();
-  std::vector<std::vector<uint64_t>> q_mont(cols);
-  std::vector<std::vector<uint64_t>> q2_mont(cols);
-  for (size_t j = 0; j < cols; ++j) {
-    q_mont[j] = mont.ToMontgomery(query.q[j]);
-    q2_mont[j] = mont.MontMul(q_mont[j], q_mont[j]);
-  }
-  PirResponse response;
-  for (size_t i = 0; i < db.rows(); ++i) {
-    std::vector<uint64_t> acc = mont.One();
-    for (size_t j = 0; j < cols; ++j) {
-      acc = mont.MontMul(acc, db.GetBit(i, j) ? q_mont[j] : q2_mont[j]);
-    }
-    response.gamma.push_back(mont.FromMontgomery(acc));
-  }
-  return response;
 }
 
 TEST(PirDatabaseExtractRowTest, MatchesGetBitAcrossAlignments) {
@@ -93,15 +71,9 @@ TEST(PirParallelTest, PooledAnswerIsBitIdenticalToSerialReference) {
     auto pooled = pooled_server.Answer(*query);
     ASSERT_TRUE(pooled.ok());
 
-    ASSERT_EQ(reference.gamma.size(), rows);
-    ASSERT_EQ(serial->gamma.size(), rows);
-    ASSERT_EQ(pooled->gamma.size(), rows);
-    for (size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(serial->gamma[i], reference.gamma[i])
-          << "serial engine diverged at row " << i;
-      ASSERT_EQ(pooled->gamma[i], reference.gamma[i])
-          << "pooled engine diverged at row " << i;
-    }
+    ASSERT_EQ(reference.rows(), rows);
+    ASSERT_TRUE(SameResponse(*serial, reference)) << "serial engine diverged";
+    ASSERT_TRUE(SameResponse(*pooled, reference)) << "pooled engine diverged";
   }
 }
 

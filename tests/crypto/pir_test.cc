@@ -142,9 +142,10 @@ TEST(PirServerTest, ReportsMultiplicationCount) {
 }
 
 TEST(PirServerTest, ReportsTablePathCountWhenTablesPay) {
-  // 16 x 4: one width-4 group costs 2*(16-4-1)=22 build muls plus one mul
-  // per row = 38 < the naive 64, so the cost-model gate takes the tables
-  // even though rows < 128 (the old cliff kept small matrices naive).
+  // 16 x 4: one width-4 group costs 2*(16-4-1) = 22 subset-chain muls plus
+  // 16 fold muls, and its rows cost none: 38 < the naive 64, so the
+  // cost-model gate takes the tables even though rows < 128 (the old cliff
+  // kept small matrices naive).
   auto db = RandomDatabase(16, 4, 8);
   Rng rng(8);
   auto client = PirClient::Create(128, &rng);
@@ -172,12 +173,13 @@ TEST(PirWireTest, QueryAndResponseSizes) {
 TEST(PirClientTest, DecodeRejectsCorruptResponse) {
   Rng rng(10);
   auto client = PirClient::Create(128, &rng);
-  PirResponse bad;
-  bad.gamma.push_back(BigInt(0));  // zero is not in Z*_n
-  EXPECT_FALSE(client->DecodeResponse(bad).ok());
-  PirResponse big;
-  big.gamma.push_back(client->n() + BigInt(5));
-  EXPECT_FALSE(client->DecodeResponse(big).ok());
+  const size_t width = client->key_bytes() + 1;
+  const std::vector<BigInt> zero{BigInt(0)};  // zero is not in Z*_n
+  EXPECT_FALSE(client->DecodeResponse(PirResponse::FromValues(zero, width))
+                   .ok());
+  const std::vector<BigInt> big{client->n() + BigInt(5)};
+  EXPECT_FALSE(
+      client->DecodeResponse(PirResponse::FromValues(big, width)).ok());
 }
 
 TEST(PirEndToEndTest, DistinctClientsInteroperate) {
@@ -267,7 +269,7 @@ TEST_P(PirDecodeDifferentialTest, DecodeMatchesEulerOnEveryResidueClass) {
 
   // Rows drawn until every (QR mod p1?, QR mod p2?) class has 6 members,
   // plus multiples of p1 and of p2 (nonzero, below n: not units).
-  PirResponse response;
+  std::vector<BigInt> gamma;
   int classes[2][2] = {{0, 0}, {0, 0}};
   while (classes[0][0] < 6 || classes[0][1] < 6 || classes[1][0] < 6 ||
          classes[1][1] < 6) {
@@ -275,28 +277,29 @@ TEST_P(PirDecodeDifferentialTest, DecodeMatchesEulerOnEveryResidueClass) {
     int& seen = classes[EulerQr(v, p1)][EulerQr(v, p2)];
     if (seen < 6) {
       ++seen;
-      response.gamma.push_back(std::move(v));
+      gamma.push_back(std::move(v));
     }
   }
   for (uint64_t m : {1ULL, 2ULL, 3ULL, 1000003ULL}) {
-    response.gamma.push_back(p1 * BigInt(m));
-    response.gamma.push_back(p2 * BigInt(m));
+    gamma.push_back(p1 * BigInt(m));
+    gamma.push_back(p2 * BigInt(m));
   }
-  response.gamma.push_back(p1 * (p2 - BigInt(1)));
-  response.gamma.push_back(p2 * (p1 - BigInt(1)));
+  gamma.push_back(p1 * (p2 - BigInt(1)));
+  gamma.push_back(p2 * (p1 - BigInt(1)));
 
-  auto decoded = client->DecodeResponse(response);
+  auto decoded = client->DecodeResponse(
+      PirResponse::FromValues(gamma, client->key_bytes()));
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->size(), response.gamma.size());
-  for (size_t i = 0; i < response.gamma.size(); ++i) {
-    const BigInt& v = response.gamma[i];
+  ASSERT_EQ(decoded->size(), gamma.size());
+  for (size_t i = 0; i < gamma.size(); ++i) {
+    const BigInt& v = gamma[i];
     const bool qr = EulerQr(v, p1) && EulerQr(v, p2);
     EXPECT_EQ((*decoded)[i], !qr) << "row " << i << " v=" << v.ToHexString();
     EXPECT_EQ(client->IsQuadraticResidue(v), qr) << "row " << i;
   }
   // Unreduced and zero inputs to the public residuosity test.
-  EXPECT_EQ(client->IsQuadraticResidue(response.gamma[0] + n * BigInt(3)),
-            EulerQr(response.gamma[0], p1) && EulerQr(response.gamma[0], p2));
+  EXPECT_EQ(client->IsQuadraticResidue(gamma[0] + n * BigInt(3)),
+            EulerQr(gamma[0], p1) && EulerQr(gamma[0], p2));
   EXPECT_FALSE(client->IsQuadraticResidue(BigInt(0)));
 }
 

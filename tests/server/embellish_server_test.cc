@@ -315,10 +315,7 @@ TEST_F(EmbellishServerTest, PirQueriesThroughTheLoop) {
 
   auto direct_answer = direct.Answer(slot->bucket, *query, nullptr);
   ASSERT_TRUE(direct_answer.ok());
-  ASSERT_EQ(decoded->gamma.size(), direct_answer->gamma.size());
-  for (size_t i = 0; i < decoded->gamma.size(); ++i) {
-    EXPECT_EQ(decoded->gamma[i], direct_answer->gamma[i]);
-  }
+  EXPECT_EQ(*decoded, *direct_answer);
   EXPECT_EQ(server.stats().pir_queries, 1u);
 }
 

@@ -259,17 +259,20 @@ TEST(FramingTest, PirQueryRejectsHostileCounts) {
 }
 
 TEST(FramingTest, PirResponseRoundTrip) {
-  crypto::PirResponse response;
   Rng rng(23);
+  std::vector<bignum::BigInt> values;
   for (int i = 0; i < 9; ++i) {
-    response.gamma.push_back(bignum::BigInt(rng.Uniform(1u << 30)));
+    values.push_back(bignum::BigInt(rng.Uniform(1u << 30)));
   }
-  auto payload = EncodePirResponse(response, 32);
+  const auto response = crypto::PirResponse::FromValues(values, 32);
+  auto payload = EncodePirResponse(response);
+  ASSERT_EQ(payload.size(), 8 + 9 * 32u);
   auto decoded = DecodePirResponse(payload);
   ASSERT_TRUE(decoded.ok());
-  ASSERT_EQ(decoded->gamma.size(), response.gamma.size());
-  for (size_t i = 0; i < response.gamma.size(); ++i) {
-    EXPECT_EQ(decoded->gamma[i], response.gamma[i]);
+  EXPECT_EQ(*decoded, response);
+  ASSERT_EQ(decoded->rows(), values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(decoded->ValueAsBigInt(i), values[i]);
   }
   // Truncation and trailing garbage are rejected.
   std::vector<uint8_t> bad(payload.begin(), payload.end() - 1);
